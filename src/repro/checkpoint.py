@@ -133,8 +133,8 @@ class Checkpoint:
         blob = self._blob
         # One memo per fork: every blob-side object maps to the live
         # object that is being refilled, so any reference from one
-        # structure into another (prdq._regs, ace's bound FU method,
-        # DynUops shared between ROB / IQ / event heap) lands on the
+        # structure into another (prdq._regs, DynUops shared between
+        # ROB / IQ / event heap) lands on the
         # live instance — and shared DynUop identity survives the fork.
         memo: Dict[int, Any] = {
             id(self.trace): self.trace,

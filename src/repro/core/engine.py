@@ -223,11 +223,16 @@ class SimEngine(Component):
             if self._stream_drained():
                 self.exhausted = True
                 raise TraceExhausted
-            raise RuntimeError(
-                f"simulator deadlock at cycle {c} "
-                f"(mode={self._ra.mode.name}, rob={len(core.rob)}, "
-                f"iq={len(core.iq)}, committed={self._stats.committed})"
-            )
+            mem = core.mem
+            if not mem.mshr_in_use(c):
+                raise RuntimeError(
+                    f"simulator deadlock at cycle {c} "
+                    f"(mode={self._ra.mode.name}, rob={len(core.rob)}, "
+                    f"iq={len(core.iq)}, committed={self._stats.committed})"
+                )
+            # Fills issued by the functional warmup walk hold MSHRs but
+            # have no engine event: wake when the first of them frees.
+            candidates = [mem._mshr_min]
         target = min(candidates)
         # Cycle c itself was accounted by step(); account the skipped span
         # (c+1 .. target-1) here, then land on `target`.

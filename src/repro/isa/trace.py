@@ -56,22 +56,25 @@ class Trace:
         if idx < 0:
             raise IndexError(f"trace index must be non-negative, got {idx}")
         buf = self._buf
-        if idx < len(buf):  # fast path: already materialised
+        n = len(buf)
+        if idx < n:  # fast path: already materialised
             return buf[idx]
-        while idx >= len(buf) and not self._exhausted:
-            try:
-                uop = next(self._source)
-            except StopIteration:
-                self._exhausted = True
-                break
-            if uop.idx != len(buf):
-                raise ValueError(
-                    f"trace uop idx {uop.idx} out of order (expected {len(buf)})"
-                )
-            buf.append(uop)
-        if idx < len(buf):
-            return buf[idx]
-        return None
+        if self._exhausted:
+            return None
+        source = self._source
+        try:
+            while n <= idx:
+                uop = next(source)
+                if uop.idx != n:
+                    raise ValueError(
+                        f"trace uop idx {uop.idx} out of order (expected {n})"
+                    )
+                buf.append(uop)
+                n += 1
+        except StopIteration:
+            self._exhausted = True
+            return None
+        return buf[idx]
 
     # -------------------------------------------------------- phases
 

@@ -18,9 +18,13 @@ from repro.common.enums import FU_CLASS, HAS_DEST, IS_FP, UopClass
 #: Sentinel address for non-memory uops.
 NO_ADDR = -1
 
-_LOAD = int(UopClass.LOAD)
-_STORE = int(UopClass.STORE)
-_BRANCH = int(UopClass.BRANCH)
+#: per-class derived fields, in ``StaticUop`` slot order: has_dest,
+#: is_fp, fu_cls, is_load, is_store, is_branch, is_mem
+_TRAITS = tuple(
+    (HAS_DEST[c], IS_FP[c], FU_CLASS[c], c == UopClass.LOAD,
+     c == UopClass.STORE, c == UopClass.BRANCH, UopClass(c).is_mem)
+    for c in range(len(UopClass))
+)
 
 
 class StaticUop:
@@ -64,13 +68,8 @@ class StaticUop:
         self.addr = addr
         self.taken = taken
         self.target = target
-        self.has_dest = HAS_DEST[cls]
-        self.is_fp = IS_FP[cls]
-        self.fu_cls = FU_CLASS[cls]
-        self.is_load = cls == _LOAD
-        self.is_store = cls == _STORE
-        self.is_branch = cls == _BRANCH
-        self.is_mem = self.is_load or self.is_store
+        (self.has_dest, self.is_fp, self.fu_cls, self.is_load,
+         self.is_store, self.is_branch, self.is_mem) = _TRAITS[cls]
 
     def __deepcopy__(self, memo) -> "StaticUop":
         # Immutable and owned by the trace: checkpoint deep-copies share

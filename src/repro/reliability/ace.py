@@ -20,9 +20,10 @@ the total ACE charge that falls inside "ROB head blocked by an LLC miss"
 windows and inside "full-ROB stall" windows.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Dict, List
 
+from repro.common.enums import UopClass
 from repro.common.params import BIT_BUDGET
 from repro.isa.uop import DynUop
 
@@ -32,8 +33,12 @@ STRUCTURES = ("rob", "iq", "lq", "sq", "rf", "fu")
 class BlockedWindows:
     """Disjoint, append-only set of [start, end) cycle windows.
 
-    Supports O(log n) overlap queries via prefix sums; used to attribute
-    ACE charge to the miss-shadow windows of Figure 5.
+    Every query reduces to one primitive, :meth:`cum` — the window time
+    in ``[0, x)`` — so the time inside ``[a, b)`` is ``cum(b) - cum(a)``,
+    exact integer arithmetic because recorded windows never overlap.
+    A query at or past the last recorded end costs O(1); an earlier one
+    bisects the end list. Used to attribute ACE charge to the
+    miss-shadow windows of Figure 5.
     """
 
     def __init__(self) -> None:
@@ -41,6 +46,8 @@ class BlockedWindows:
         self._ends: List[int] = []
         self._prefix: List[int] = [0]  # cumulative window length
         self._open_start = -1
+        #: end of the last recorded window (0 before the first one)
+        self.last_end = 0
 
     def open(self, cycle: int) -> None:
         if self._open_start < 0:
@@ -57,40 +64,35 @@ class BlockedWindows:
         self._open_start = -1
         if cycle <= start:
             return
-        if self._starts and start < self._ends[-1]:
+        if start < self.last_end:
             # Merge with the previous window if they touch/overlap.
-            start = max(start, self._ends[-1])
+            start = self.last_end
             if cycle <= start:
                 return
         self._starts.append(start)
         self._ends.append(cycle)
         self._prefix.append(self._prefix[-1] + (cycle - start))
+        self.last_end = cycle
+
+    def cum(self, x: int) -> int:
+        """Window time in ``[0, x)``; an open window counts up to ``x``."""
+        if x < self.last_end and self._ends:
+            j = bisect_right(self._ends, x)  # windows ended by x
+            total = self._prefix[j]
+            start = self._starts[j]  # the one window that may straddle x
+            if start < x:
+                total += x - start
+        else:
+            total = self._prefix[-1]
+        if 0 <= self._open_start < x:
+            total += x - self._open_start
+        return total
 
     def overlap(self, a: int, b: int) -> int:
         """Total window time intersecting [a, b); includes an open window."""
         if b <= a:
             return 0
-        total = 0
-        starts = self._starts
-        # Common case in unblocked phases: nothing recorded yet.
-        if not starts:
-            if self._open_start >= 0 and b > self._open_start:
-                return b - max(a, self._open_start)
-            return 0
-        ends, prefix = self._ends, self._prefix
-        if starts:
-            # Windows with end > a and start < b intersect [a, b).
-            lo = bisect_right(ends, a)
-            hi = bisect_left(starts, b)
-            if hi > lo:
-                total += prefix[hi] - prefix[lo]
-                if starts[lo] < a:  # clip partial overlap at the left edge
-                    total -= a - starts[lo]
-                if ends[hi - 1] > b:  # clip at the right edge
-                    total -= ends[hi - 1] - b
-        if self._open_start >= 0 and b > self._open_start:
-            total += b - max(a, self._open_start)
-        return total
+        return self.cum(b) - self.cum(a)
 
     @property
     def total_time(self) -> int:
@@ -111,9 +113,11 @@ class AceAccountant:
     """
 
     def __init__(self, fu_exec_cycles, record_intervals: bool = False) -> None:
-        """``fu_exec_cycles(cls) -> int`` maps uop class to FU occupancy."""
+        """``fu_exec_cycles(cls) -> int`` maps uop class to FU occupancy;
+        it is tabulated once here, per uop class."""
         self.bits: Dict[str, int] = {s: 0 for s in STRUCTURES}
-        self._fu_exec_cycles = fu_exec_cycles
+        self._fu_cycles = tuple(fu_exec_cycles(c)
+                                for c in range(len(UopClass)))
         # Per-structure bit widths, hoisted out of the commit hot path.
         self._b_rob = BIT_BUDGET["rob"]
         self._b_iq = BIT_BUDGET["iq"]
@@ -133,41 +137,76 @@ class AceAccountant:
         #: (structure, start_cycle, end_cycle, bits) when recording
         self.intervals: List[tuple] = []
 
-    def _charge(self, structure: str, start: int, end: int,
-                bits_per_entry: int) -> None:
-        if end <= start:
-            return
-        self.bits[structure] += bits_per_entry * (end - start)
-        self.bits_in_head_blocked += (
-            bits_per_entry * self.head_blocked.overlap(start, end))
-        self.bits_in_full_stall += (
-            bits_per_entry * self.full_stall.overlap(start, end))
-        if self.record_intervals:
-            self.intervals.append((structure, start, end, bits_per_entry))
-
     def charge_commit(self, uop: DynUop) -> None:
-        """Charge a committing, correct-path uop (the only ACE case)."""
+        """Charge a committing, correct-path uop (the only ACE case).
+
+        Each structure holds the uop over one interval ``[start, end)``
+        and is charged ``bits × (end - start)``; empty intervals charge
+        nothing. The share inside a Figure 5 window set is
+        ``bits × (cum(end) - cum(start))``, skipped outright while that
+        set holds no time at or after the uop's earliest timestamp.
+        """
         st = uop.static
-        if st.cls == 0:  # NOP: architecturally dead, un-ACE by definition
+        cls = st.cls
+        if cls == 0:  # NOP: architecturally dead, un-ACE by definition
             return
         d, i, w, c = (uop.dispatch_cycle, uop.issue_cycle, uop.done_cycle,
                       uop.commit_cycle)
-
-        self._charge("rob", d, c, self._b_rob)
+        fp = st.is_fp
+        rf = st.has_dest and w >= 0
+        fu = self._fu_cycles[cls]
+        bits = self.bits
+        lo = d  # earliest interval start
+        if c > d:
+            bits["rob"] += self._b_rob * (c - d)
         if i >= 0:
-            self._charge("iq", d, i, self._b_iq)
-            if st.is_load:
-                self._charge("lq", i, c, self._b_lq)
-            elif st.is_store:
-                self._charge("sq", i, c, self._b_sq)
-        if st.has_dest and w >= 0:
-            self._charge("rf", w, c,
-                         self._b_fp_reg if st.is_fp else self._b_int_reg)
-        # Functional units: width × execution cycles, anchored at issue.
-        fu_start = i if i >= 0 else d
-        self._charge("fu", fu_start, fu_start + self._fu_exec_cycles(st.cls),
-                     self._b_fp_fu if st.is_fp else self._b_int_fu)
+            if i > d:
+                bits["iq"] += self._b_iq * (i - d)
+            if c > i:
+                if st.is_load:
+                    bits["lq"] += self._b_lq * (c - i)
+                elif st.is_store:
+                    bits["sq"] += self._b_sq * (c - i)
+            if i < lo:
+                lo = i
+        if rf:
+            if c > w:
+                bits["rf"] += (self._b_fp_reg if fp
+                               else self._b_int_reg) * (c - w)
+            if w < lo:
+                lo = w
+        if fu > 0:
+            # Functional units: width × execution cycles, anchored at issue.
+            bits["fu"] += (self._b_fp_fu if fp else self._b_int_fu) * fu
         self.committed_charged += 1
+
+        hb = self.head_blocked
+        fs = self.full_stall
+        hb_live = hb._open_start >= 0 or hb.last_end > lo
+        fs_live = fs._open_start >= 0 or fs.last_end > lo
+        if not (hb_live or fs_live or self.record_intervals):
+            return  # quiet: no window time at or after ``lo``
+        # The same intervals as above, in charge order.
+        spans = [("rob", d, c, self._b_rob)]
+        if i >= 0:
+            spans.append(("iq", d, i, self._b_iq))
+            if st.is_load:
+                spans.append(("lq", i, c, self._b_lq))
+            elif st.is_store:
+                spans.append(("sq", i, c, self._b_sq))
+        if rf:
+            spans.append(("rf", w, c,
+                          self._b_fp_reg if fp else self._b_int_reg))
+        fu_start = i if i >= 0 else d
+        spans.append(("fu", fu_start, fu_start + fu,
+                      self._b_fp_fu if fp else self._b_int_fu))
+        spans = [s for s in spans if s[2] > s[1]]
+        if self.record_intervals:
+            self.intervals.extend(spans)
+        if hb_live:
+            self.bits_in_head_blocked += _attributed(hb, spans)
+        if fs_live:
+            self.bits_in_full_stall += _attributed(fs, spans)
 
     @property
     def total(self) -> int:
@@ -180,3 +219,12 @@ class AceAccountant:
 
     def snapshot(self) -> Dict[str, int]:
         return dict(self.bits)
+
+
+def _attributed(windows: BlockedWindows, spans) -> int:
+    """Bit-cycles of the non-empty ``spans`` that fall inside ``windows``."""
+    cum = windows.cum
+    total = 0
+    for _, a, b, n in spans:
+        total += n * (cum(b) - cum(a))
+    return total

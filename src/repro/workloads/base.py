@@ -24,6 +24,13 @@ from repro.isa.uop import NO_ADDR, StaticUop
 from repro.workloads.patterns import AddressPattern, PatternSpec
 
 
+#: slot plan kinds (see :meth:`WorkloadSpec._compile`)
+_PLAIN, _MEM, _LOOP, _BIASED, _DATA = range(5)
+_BRANCH_KINDS = {"loop": _LOOP, "biased": _BIASED, "data": _DATA}
+_LOAD = int(UopClass.LOAD)
+_BRANCH = int(UopClass.BRANCH)
+
+
 @dataclass(frozen=True)
 class BranchSpec:
     """Behaviour of one static branch slot.
@@ -189,10 +196,48 @@ class WorkloadSpec:
             walk(spec)
         return out
 
+    def _compile(self) -> List[tuple]:
+        """The loop body as one plan row per slot, resolved once per trace.
+
+        A row is ``(pc, cls, deltas, offs, steady, kind, pattern, is_load,
+        bias, period)``. Producer references become offsets from the
+        iteration's first trace index (``offs``, with the iteration
+        ``deltas`` they came from); references that could never precede
+        the slot are dropped here, and from iteration ``steady`` on every
+        remaining producer exists. ``kind`` says how the slot draws its
+        dynamic fields: a memory pattern, one of the :class:`BranchSpec`
+        kinds, or nothing.
+        """
+        nslots = len(self.body)
+        plan = []
+        for s, slot in enumerate(self.body):
+            refs = [(delta, prod_slot - delta * nslots)
+                    for delta, prod_slot in slot.srcs
+                    if prod_slot - delta * nslots < s]
+            cls = int(slot.cls)
+            kind, bias, period = _PLAIN, 0.0, 0
+            if slot.pattern is not None:
+                kind = _MEM
+            elif cls == _BRANCH:
+                spec = slot.branch or BranchSpec()
+                if spec.kind not in _BRANCH_KINDS:
+                    raise ValueError(f"unknown branch kind {spec.kind!r}")
+                kind, bias, period = (_BRANCH_KINDS[spec.kind], spec.bias,
+                                      spec.period)
+            plan.append((
+                self.pc_base + s * 4, cls,
+                tuple(delta for delta, _ in refs),
+                tuple(off for _, off in refs),
+                max((delta for delta, _ in refs), default=0),
+                kind, slot.pattern, cls == _LOAD, bias, period,
+            ))
+        return plan
+
     def _generate(self, seed: int) -> Iterator[StaticUop]:
+        plan = self._compile()
         rng = random.Random(seed)
-        body = self.body
-        nslots = len(body)
+        nslots = len(plan)
+        pc_base = self.pc_base
         engines: Dict[str, AddressPattern] = {
             pid: spec.build() for pid, spec in self.patterns.items()
         }
@@ -208,7 +253,6 @@ class WorkloadSpec:
         # Dynamic state threaded across iterations:
         last_load_by_pattern: Dict[str, int] = {}
         last_load_idx = -1
-        idx = 0
         t = 0
         while True:
             if phases and t == next_switch_t:
@@ -225,53 +269,36 @@ class WorkloadSpec:
                     engines[pid] = _shift_base(
                         pspec, pass_num * phase.drift).build()
                 overridden = now
-            base_idx = t * nslots
-            for s, slot in enumerate(body):
-                pc = self.pc_base + s * 4
-                srcs: List[int] = []
-                for delta, prod_slot in slot.srcs:
-                    prod_iter = t - delta
-                    if prod_iter < 0:
-                        continue
-                    prod_idx = prod_iter * nslots + prod_slot
-                    if prod_idx < idx:
-                        srcs.append(prod_idx)
+            idx = base_idx = t * nslots
+            for (pc, cls, deltas, offs, steady, kind, pid, is_load, bias,
+                 period) in plan:
+                if t >= steady:
+                    srcs = [base_idx + off for off in offs]
+                else:  # early iterations: producers before the trace start
+                    srcs = [base_idx + off for delta, off in zip(deltas, offs)
+                            if t >= delta]
                 addr = NO_ADDR
                 taken = False
                 target = 0
-                cls = slot.cls
-                if slot.pattern is not None:
-                    engine = engines[slot.pattern]
+                if kind == _MEM:
+                    engine = engines[pid]
                     addr = engine.next_addr(rng)
                     if engine.dependent:
-                        prev = last_load_by_pattern.get(slot.pattern, -1)
+                        prev = last_load_by_pattern.get(pid, -1)
                         if prev >= 0:
                             srcs.append(prev)
-                    if cls == UopClass.LOAD:
-                        last_load_by_pattern[slot.pattern] = idx
+                    if is_load:
+                        last_load_by_pattern[pid] = idx
                         last_load_idx = idx
-                elif cls == UopClass.BRANCH:
-                    spec = slot.branch or BranchSpec()
-                    if spec.kind == "loop":
-                        taken = (t % spec.period) != spec.period - 1
-                    elif spec.kind == "biased":
-                        taken = rng.random() < spec.bias
-                    elif spec.kind == "data":
-                        taken = rng.random() < spec.bias
-                        if last_load_idx >= 0:
-                            srcs.append(last_load_idx)
+                elif kind != _PLAIN:
+                    if kind == _LOOP:
+                        taken = (t % period) != period - 1
                     else:
-                        raise ValueError(f"unknown branch kind {spec.kind!r}")
-                    target = self.pc_base if taken else pc + 4
-                yield StaticUop(
-                    idx=idx,
-                    pc=pc,
-                    cls=cls,
-                    srcs=tuple(srcs),
-                    addr=addr,
-                    taken=taken,
-                    target=target,
-                )
+                        taken = rng.random() < bias
+                        if kind == _DATA and last_load_idx >= 0:
+                            srcs.append(last_load_idx)
+                    target = pc_base if taken else pc + 4
+                yield StaticUop(idx, pc, cls, tuple(srcs), addr, taken, target)
                 idx += 1
             t += 1
 

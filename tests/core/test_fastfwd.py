@@ -7,6 +7,8 @@ blob schema, same fork/measure semantics, same determinism, same farm
 and cache behaviour. These tests pin that contract.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.experiments import ExperimentRunner, _variant
@@ -178,3 +180,23 @@ class TestVariantAndCache:
         events = [e for e in read_ledger(path)
                   if e.get("ev") == "warmup_shared"]
         assert events and events[0]["mode"] == "fast"
+
+
+class TestWarmupHeldMshrs:
+    """Fills issued by the functional walk hold L1 MSHRs without an
+    engine event. When they are all that is left in flight, the engine
+    must wake on the first release instead of reporting a deadlock."""
+
+    @pytest.mark.parametrize("workload, offset",
+                             [("libquantum", 1), ("lbm", 5)])
+    def test_shared_fast_warmup_completes(self, tmp_path, workload, offset):
+        spec = get_workload(workload)
+        spec = dataclasses.replace(spec, seed=spec.seed + offset)
+        runner = ExperimentRunner(instructions=10_000, warmup=10_000,
+                                  cache_path=str(tmp_path / "c.json"))
+        matrix = runner.run_matrix(
+            [spec], BASELINE, ["OOO", "RAR"], share_warmup=True,
+            warmup_mode="fast", validate=True, oracle=True)
+        assert not matrix.failures, matrix.failures
+        for policy in ("OOO", "RAR"):
+            assert matrix[policy][workload].instructions >= 10_000
