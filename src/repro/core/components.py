@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.common.enums import Mode, SquashCause, UopClass
 from repro.core.engine import EV_RA_DONE, EV_RA_ISSUE, EV_WB, Component
+from repro.core.issue_queue import LOAD_FU_CLASS
 from repro.isa.uop import DynUop
 
 _LOAD = int(UopClass.LOAD)
@@ -178,10 +179,12 @@ class CommitUnit(Component):
                 head.commit_cycle = c
                 if hook is not None:
                     hook(head, c)
-                self.lsq.release(head)
-                self.regs.release(head)
-                self.ace.charge_commit(head)
                 st = head.static
+                if st.is_mem:
+                    self.lsq.release(head)
+                if st.has_dest:
+                    self.regs.release(head)
+                self.ace.charge_commit(head)
                 if head.llc_miss and st.cls == _LOAD:
                     # MPKI counts committed loads whose instance missed
                     # the LLC.
@@ -326,15 +329,24 @@ class WindowBackEnd(Component):
         observer = self.core.observer
         if observer and uops:
             observer("squash", self.engine.cycle, uops=uops, cause=cause)
+        # Only the releases a uop needs: LSQ entries for memory uops,
+        # registers for uops with a destination, and the producer map
+        # only ever holds correct-path instances.
         inflight = self.inflight
+        lsq = self.lsq
+        regs = self.regs
+        cause = int(cause)
         for u in uops:
             u.squashed = True
-            u.squash_cause = int(cause)
-            self.lsq.release(u)
-            self.regs.release(u)
-            if inflight.get(u.static.idx) is u:
-                del inflight[u.static.idx]
-        self.iq.squash(lambda x: x.squashed)
+            u.squash_cause = cause
+            st = u.static
+            if st.is_mem:
+                lsq.release(u)
+            if st.has_dest:
+                regs.release(u)
+            if not u.wrong_path and inflight.get(st.idx) is u:
+                del inflight[st.idx]
+        self.iq.squash()
 
     # ============================================================== issue
 
@@ -343,20 +355,37 @@ class WindowBackEnd(Component):
         # take the globally oldest head (smallest ready_ord), skipping any
         # FU class already found full this cycle (`blocked_fu` bitmask —
         # sound because within one cycle FU slots only fill, never free).
-        # MSHR-rejected loads are set aside individually and restored to
-        # their FIFO fronts afterwards, so pick order next cycle matches
-        # the scan-based queue exactly. Age order + identical mem.access
-        # attempt sequence ⇒ bit-identical results.
+        #
+        # A load the hierarchy rejects (all L1 MSHRs busy) is parked until
+        # the earliest MSHR release: before it nothing can enter L1 or the
+        # in-flight fill table (a demand miss needs an MSHR; prefetches
+        # only follow a successful miss; the in-flight count cannot drop),
+        # so every re-probe would be rejected again, with no effect beyond
+        # the three per-probe counters. Those are charged in bulk for the
+        # probes the retry-every-cycle loop would have made: parked loads
+        # are the oldest of the load FIFO and never take an FU slot, so it
+        # reached each one unless the load FU was busy from the start or
+        # the width ran out at an older uop. Pick order, FU use and the
+        # mem.access sequence are unchanged ⇒ bit-identical results.
         iq = self.iq
         if iq._nready == 0:
             return 0
         ready = iq._ready
+        fus = self.fus
+        mem = self.mem
+        parked = iq._parked
+        nparked = 0
+        if parked:
+            if c >= iq.parked_until:
+                ready[LOAD_FU_CLASS].extendleft(reversed(parked))
+                iq._nonempty |= 1 << LOAD_FU_CLASS
+                parked.clear()
+            elif fus.can_issue(_LOAD, c):
+                nparked = len(parked)
         issued = 0
         width = self.width
-        fus = self.fus
         schedule = self.engine.schedule
         blocked_fu = 0
-        stashed: Dict[int, List[DynUop]] = {}
         while issued < width:
             m = iq._nonempty & ~blocked_fu
             u = None
@@ -380,11 +409,11 @@ class WindowBackEnd(Component):
             dq.popleft()
             if not dq:
                 iq._nonempty &= ~(1 << u_cls)
-            iq._nready -= 1
             if cls == _LOAD:
-                result = self.mem.access(st.addr, c, pc=st.pc)
-                if result is None:  # MSHRs full: retry next cycle
-                    stashed.setdefault(u_cls, []).append(u)
+                result = mem.access(st.addr, c, pc=st.pc)
+                if result is None:  # MSHRs full: park until one frees
+                    parked.append(u)
+                    iq.parked_until = mem._mshr_min
                     continue
                 fus.issue(cls, c)  # AGU slot
                 done = result.done_cycle
@@ -403,15 +432,21 @@ class WindowBackEnd(Component):
                 done = c + 1  # address/data capture; write happens at commit
             else:
                 done = fus.issue(cls, c)
+            iq._nready -= 1
             u.issue_cycle = c
             schedule(done, EV_WB, u)
             issued += 1
-        for fc, uops in stashed.items():
-            dq = ready[fc]
-            for u in reversed(uops):
-                dq.appendleft(u)
-            iq._nonempty |= 1 << fc
-            iq._nready += len(uops)
+        if nparked:
+            if u is not None:
+                # Width ran out at `u`: only older parked loads were probed.
+                last = u.ready_ord
+                n = 0
+                while n < nparked and parked[n].ready_ord < last:
+                    n += 1
+                nparked = n
+            mem.demand_accesses += nparked
+            mem.l1d.misses += nparked
+            mem.rejected_mshr_full += nparked
         return issued
 
     # =========================================================== dispatch
@@ -878,7 +913,7 @@ class RunaheadController(Component):
             stats.runahead_uops_executed += 1
             if cls == _LOAD or cls == _STORE:
                 self.engine.schedule(max(ready, c + 1), EV_RA_ISSUE,
-                                     (self._ra_interval, st, 0))
+                                     (self._ra_interval, st, 0, 0))
                 est = self._est_latency[self.mem.probe_level(st.addr)]
                 ra_ready[idx] = ready + est
             else:
@@ -926,17 +961,31 @@ class RunaheadController(Component):
                 self.iq.runahead_used -= 1
 
     def ra_memory_issue(self, payload, when: int) -> None:
-        interval, st, retry = payload
+        # ``until``: the earliest MSHR release seen by the last rejected
+        # attempt. Before it the attempt is rejected again (see
+        # WindowBackEnd._do_issue), so only its counters are charged.
+        interval, st, retry, until = payload
         if interval != self._ra_interval or self.mode != Mode.RUNAHEAD:
             return
-        result = self.mem.access(st.addr, when, is_write=(st.cls == _STORE),
-                                 pc=st.pc)
+        mem = self.mem
+        if when < until:
+            result = None
+            mem.demand_accesses += 1
+            mem.l1d.misses += 1
+            mem.rejected_mshr_full += 1
+        else:
+            result = mem.access(st.addr, when, is_write=(st.cls == _STORE),
+                                pc=st.pc)
+            until = mem._mshr_min
         if result is None:
             # MSHRs full: retry with backoff — runahead keeps the MSHRs
             # saturated by design, so an eager retry loop would spin.
+            # The chain keeps its backoff steps rather than jumping to
+            # ``until``: a later-scheduled event that lands on the same
+            # cycle must keep its place behind same-cycle MSHR grabs.
             backoff = min(32, 4 << min(retry, 3))
             self.engine.schedule(when + backoff, EV_RA_ISSUE,
-                                 (interval, st, retry + 1))
+                                 (interval, st, retry + 1, until))
             return
         self.stats.runahead_prefetches += 1
         self._ra_ready[st.idx] = result.done_cycle

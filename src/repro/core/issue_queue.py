@@ -16,16 +16,24 @@ popping and requeueing every ready uop of that class. The
 ``iq-ready-coherence`` invariant (``repro.validate``) recomputes
 readiness from scratch under ``--validate`` to keep the incremental
 lists honest.
+
+Loads the memory hierarchy rejected because every L1 MSHR was busy are
+*parked* (``_parked``, oldest first) until ``parked_until`` — the
+hierarchy's earliest MSHR release, before which no probe of theirs can
+succeed (see ``WindowBackEnd._do_issue``). Parked loads stay counted in
+``_nready``: they still hold their IQ entries and are still ready.
 """
 
 from collections import deque
 from typing import Deque, List
 
-from repro.common.enums import FU_CLASS
+from repro.common.enums import FU_CLASS, UopClass
 from repro.isa.uop import DynUop
 
 #: FU classes are a dense prefix of UopClass (INT_ADD..FP_DIV).
 NUM_FU_CLASSES = max(FU_CLASS) + 1
+#: the ready FIFO every load waits in (loads share the AGU class)
+LOAD_FU_CLASS = FU_CLASS[UopClass.LOAD]
 
 
 class IssueQueue:
@@ -41,6 +49,11 @@ class IssueQueue:
         self._nonempty = 0
         #: next global wakeup-order stamp
         self._next_ord = 0
+        #: MSHR-rejected loads taken out of the load FIFO, oldest first;
+        #: counted in ``_nready``
+        self._parked: List[DynUop] = []
+        #: first cycle at which a parked load can be accepted again
+        self.parked_until = 0
         #: extra entries claimed by runahead slice uops (lean runahead uses
         #: the *free* IQ entries, per PRE)
         self.runahead_used = 0
@@ -80,61 +93,44 @@ class IssueQueue:
             self._waiting.discard(uop)
             self._push_ready(uop)
 
-    def pop_ready(self) -> DynUop:
-        """Remove and return the oldest-woken ready uop (smallest
-        ``ready_ord`` among the per-class FIFO heads)."""
-        best: DynUop = None  # type: ignore[assignment]
-        best_cls = -1
-        for cls, dq in enumerate(self._ready):
-            if dq:
-                head = dq[0]
-                if best is None or head.ready_ord < best.ready_ord:
-                    best = head
-                    best_cls = cls
-        if best is None:
-            raise IndexError("pop from an empty ready list")
-        dq = self._ready[best_cls]
-        dq.popleft()
-        if not dq:
-            self._nonempty &= ~(1 << best_cls)
-        self._nready -= 1
-        return best
-
-    def requeue(self, uop: DynUop) -> None:
-        """Put a selected uop back (structural hazard: FU/MSHR busy).
-
-        The uop keeps its original ``ready_ord``, so it stays at the front
-        of its class FIFO and ahead of anything woken later."""
-        fc = uop.static.fu_cls
-        self._ready[fc].appendleft(uop)
-        self._nonempty |= 1 << fc
-        self._nready += 1
-
     @property
     def ready_count(self) -> int:
         return self._nready
 
-    def squash(self, pred) -> int:
-        """Drop all queued uops matching ``pred``; returns count dropped."""
-        dropped = [u for u in self._waiting if pred(u)]
+    def squash(self) -> int:
+        """Drop every queued uop flagged ``squashed``; returns the count."""
+        waiting = self._waiting
+        dropped = [u for u in waiting if u.squashed]
         for u in dropped:
-            self._waiting.discard(u)
+            waiting.discard(u)
         n = len(dropped)
-        for cls, dq in enumerate(self._ready):
-            kept = [u for u in dq if not pred(u)]
-            removed = len(dq) - len(kept)
-            if removed:
-                n += removed
-                self._nready -= removed
-                self._ready[cls] = deque(kept)
+        removed = 0
+        ready = self._ready
+        m = self._nonempty
+        while m:
+            low = m & -m
+            m ^= low
+            cls = low.bit_length() - 1
+            dq = ready[cls]
+            kept = [u for u in dq if not u.squashed]
+            if len(kept) != len(dq):
+                removed += len(dq) - len(kept)
+                ready[cls] = deque(kept)
                 if not kept:
-                    self._nonempty &= ~(1 << cls)
-        return n
+                    self._nonempty &= ~low
+        parked = self._parked
+        if parked:
+            kept = [u for u in parked if not u.squashed]
+            removed += len(parked) - len(kept)
+            parked[:] = kept
+        self._nready -= removed
+        return n + removed
 
     def clear(self) -> None:
         self._waiting.clear()
         for dq in self._ready:
             dq.clear()
+        self._parked.clear()
         self._nready = 0
         self._nonempty = 0
         self.runahead_used = 0

@@ -28,19 +28,15 @@ class RegisterFiles:
         self.runahead_int = 0
         self.runahead_fp = 0
 
-    @staticmethod
-    def _is_fp_dest(uop: DynUop) -> bool:
-        return uop.static.is_fp
-
     def can_allocate(self, uop: DynUop) -> bool:
         if not uop.static.has_dest:
             return True
-        return (self.fp_free if self._is_fp_dest(uop) else self.int_free) > 0
+        return (self.fp_free if uop.static.is_fp else self.int_free) > 0
 
     def allocate(self, uop: DynUop) -> None:
         if not uop.static.has_dest:
             return
-        if self._is_fp_dest(uop):
+        if uop.static.is_fp:
             if self.fp_free <= 0:
                 raise OverflowError("fp register file exhausted")
             self.fp_free -= 1
@@ -52,7 +48,7 @@ class RegisterFiles:
     def release(self, uop: DynUop) -> None:
         if not uop.static.has_dest:
             return
-        if self._is_fp_dest(uop):
+        if uop.static.is_fp:
             self.fp_free += 1
             if self.fp_free > self._fp_max_free:
                 raise RuntimeError("fp free-list overflow")

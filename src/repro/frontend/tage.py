@@ -13,6 +13,9 @@ training — standard practice for trace-driven studies).
 
 from typing import List, Optional, Tuple
 
+#: corrector drift at which the TAGE output is flipped
+_SC_FLIP = 12
+
 
 class _TaggedTable:
     __slots__ = ("size", "tag_bits", "hist_len", "tags", "ctrs", "useful",
@@ -183,7 +186,7 @@ class TageScL:
             return loop_pred
         pred, _, _ = self._tage_predict(pc)
         sc = self._sc.get(pc)
-        if sc is not None and sc >= 12:
+        if sc is not None and sc >= _SC_FLIP:
             # Corrector is confident the TAGE output is systematically
             # wrong for this PC: flip it. (Large *negative* drift means
             # TAGE is persistently right — never flip on that side.)
@@ -194,12 +197,18 @@ class TageScL:
 
     def update(self, pc: int, taken: bool, predicted: bool) -> None:
         """Train all components with the resolved outcome."""
+        self._train(pc, taken, predicted, *self._tage_predict(pc))
+
+    def _train(self, pc: int, taken: bool, predicted: bool,
+               tage_pred: bool, provider: int, pidx: int) -> None:
+        """Training body shared by :meth:`update` and :meth:`observe`;
+        ``tage_pred, provider, pidx`` is the :meth:`_tage_predict` lookup
+        for ``pc`` under the current history."""
         self.predictions += 1
         if predicted != taken:
             self.mispredictions += 1
         self.loop.update(pc, taken)
 
-        tage_pred, provider, pidx = self._tage_predict(pc)
         # Statistical corrector training: track whether TAGE agreed.
         sc = self._sc.get(pc, 0)
         sc += 1 if tage_pred != taken else -1
@@ -243,9 +252,18 @@ class TageScL:
             table.useful[idx] -= 1
 
     def observe(self, pc: int, taken: bool) -> bool:
-        """Predict, then immediately train; returns the prediction."""
-        predicted = self.predict(pc)
-        self.update(pc, taken, predicted)
+        """Predict, then immediately train; returns the prediction.
+
+        Same result as :meth:`predict` then :meth:`update`, from one
+        table lookup: nothing the lookup reads changes in between."""
+        tage_pred, provider, pidx = self._tage_predict(pc)
+        predicted = self.loop.predict(pc)
+        if predicted is None:
+            predicted = tage_pred
+            sc = self._sc.get(pc)
+            if sc is not None and sc >= _SC_FLIP:
+                predicted = not predicted
+        self._train(pc, taken, predicted, tage_pred, provider, pidx)
         self.shift_history(taken)
         return predicted
 

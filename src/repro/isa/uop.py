@@ -100,7 +100,6 @@ class DynUop:
         "seq",
         "wrong_path",
         "runahead",
-        "inv",
         "pending",
         "consumers",
         "dispatch_cycle",
@@ -126,8 +125,6 @@ class DynUop:
         self.seq = seq
         self.wrong_path = wrong_path
         self.runahead = runahead
-        #: invalid during runahead: (transitively) depends on the blocking load
-        self.inv = False
         #: number of unresolved producers; issue-eligible at zero
         self.pending = 0
         #: dispatched consumers waiting on this uop's result
@@ -166,7 +163,6 @@ class DynUop:
             for f, on in (
                 ("W", self.wrong_path),
                 ("R", self.runahead),
-                ("I", self.inv),
                 ("S", self.squashed),
                 ("C", self.completed),
             )

@@ -103,9 +103,6 @@ class MemoryHierarchy:
             done = alive
         return len(done)
 
-    def mshr_available(self, cycle: int) -> bool:
-        return self.mshr_in_use(cycle) < self.mshr_limit
-
     # ---------------------------------------------------------------- access
 
     def access(
@@ -146,7 +143,7 @@ class MemoryHierarchy:
             return AccessResult(cycle + lat_l1, "l1")
         l1.misses += 1
 
-        if not self.mshr_available(cycle):
+        if self.mshr_in_use(cycle) >= self.mshr_limit:
             self.rejected_mshr_full += 1
             return None
 

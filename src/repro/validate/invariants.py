@@ -31,7 +31,14 @@ Invariant catalog (see docs/validation.md for the full rationale):
                    equals the live consumer references held by in-flight
                    producers, per-class FIFOs are age-ordered
                    (``ready_ord`` strictly increasing), and the
-                   ``_nready``/``_nonempty`` summaries match the lists.
+                   ``_nready``/``_nonempty`` summaries match the lists
+                   (``_nready`` counts the parked loads too).
+``mshr-parked``    MSHR-rejected loads the issue queue parked are
+                   ordered, unsquashed, and older than the load FIFO's
+                   head; ``_mshr_min`` is the earliest in-flight MSHR
+                   release; and before ``parked_until`` the MSHRs are
+                   still full and no parked load's line is in L1 or
+                   has a live fill — so re-probing it would be rejected.
 ``fu-scoreboard``  the FU pool's O(1) free-slot counters agree with
                    ground truth recovered from the writeback event heap:
                    pipelined per-class slots used this cycle equal the
@@ -62,7 +69,8 @@ from typing import Dict
 
 from repro.common.enums import Mode
 from repro.core.engine import EV_WB, Component
-from repro.core.issue_queue import NUM_FU_CLASSES
+from repro.core.issue_queue import LOAD_FU_CLASS, NUM_FU_CLASSES
+from repro.memory.hierarchy import LINE_MASK
 from repro.reliability.ace import STRUCTURES
 from repro.reliability.fault_injection import structure_bits
 
@@ -125,6 +133,7 @@ class InvariantChecker(Component):
         self.ra = core.runahead_ctl
         self.engine = core.engine
         self.fus = core.fus
+        self.mem = core.mem
         self.backend = core.backend
         self.fe_stage = core.frontend_stage
         self._struct_bits = structure_bits(core.machine.core)
@@ -249,6 +258,7 @@ class InvariantChecker(Component):
                 f"vs size {iq.size}")
 
         self._check_iq_ready(cycle, consumer_refs)
+        self._check_mshr_parked(cycle)
         self._check_fu_scoreboard(cycle)
         self._check_quiescence(cycle)
 
@@ -268,9 +278,11 @@ class InvariantChecker(Component):
         nready = 0
         mask = 0
         seen = set()
-        for fc, dq in enumerate(iq._ready):
+        queues = list(enumerate(iq._ready))
+        queues.append((LOAD_FU_CLASS, iq._parked))
+        for fc, dq in queues:
             nready += len(dq)
-            if dq:
+            if dq and dq is not iq._parked:
                 mask |= 1 << fc
             prev_ord = -1
             for u in dq:
@@ -308,7 +320,8 @@ class InvariantChecker(Component):
         if nready != iq._nready:
             raise InvariantViolation(
                 "iq-ready-coherence", cycle,
-                f"_nready={iq._nready} but the class FIFOs hold {nready}")
+                f"_nready={iq._nready} but the class FIFOs and the parked "
+                f"list hold {nready}")
         if mask != iq._nonempty:
             raise InvariantViolation(
                 "iq-ready-coherence", cycle,
@@ -330,6 +343,57 @@ class InvariantChecker(Component):
                     f"waiting uop {u!r} has pending={u.pending} but "
                     f"{refs} uncompleted producer reference(s)")
         self.ready_uops_checked += nready
+
+    def _check_mshr_parked(self, cycle: int) -> None:
+        """Parked loads vs the MSHR state that justifies not probing them.
+
+        :meth:`_check_iq_ready` already holds the parked list to the
+        ready-FIFO rules (ordered stamps, unsquashed, no pending
+        producer); here it must hold loads only, all older than
+        everything still in the load FIFO (issue puts them back at its
+        front). ``_mshr_done`` is read
+        without pruning, so the check cannot disturb the hierarchy.
+        """
+        mem = self.mem
+        done = mem._mshr_done
+        want_min = min(done) if done else 1 << 62
+        if mem._mshr_min != want_min:
+            raise InvariantViolation(
+                "mshr-parked", cycle,
+                f"_mshr_min={mem._mshr_min} but the earliest in-flight "
+                f"MSHR release is {want_min}")
+        iq = self.iq
+        parked = iq._parked
+        if not parked:
+            return
+        for u in parked:
+            if not u.static.is_load:
+                raise InvariantViolation(
+                    "mshr-parked", cycle, f"parked uop {u!r} is not a load")
+        head = iq._ready[LOAD_FU_CLASS]
+        if head and head[0].ready_ord <= parked[-1].ready_ord:
+            raise InvariantViolation(
+                "mshr-parked", cycle,
+                f"parked load {parked[-1]!r} is not older than the load "
+                f"FIFO head {head[0]!r}")
+        if cycle >= iq.parked_until:
+            return
+        in_flight = sum(1 for d in done if d > cycle)
+        if in_flight < mem.mshr_limit:
+            raise InvariantViolation(
+                "mshr-parked", cycle,
+                f"{len(parked)} load(s) parked until {iq.parked_until} "
+                f"but only {in_flight}/{mem.mshr_limit} MSHRs are busy")
+        outstanding = mem._outstanding
+        for u in parked:
+            line = u.static.addr & LINE_MASK
+            fill = outstanding.get(line)
+            if mem.l1d.contains(line) or (fill is not None
+                                          and fill[0] > cycle):
+                raise InvariantViolation(
+                    "mshr-parked", cycle,
+                    f"parked load {u!r} would not be rejected: its line "
+                    f"{line:#x} is in L1 or has a live fill")
 
     def _check_fu_scoreboard(self, cycle: int) -> None:
         """O(1) free-slot counters vs the writeback event heap.

@@ -239,3 +239,65 @@ class TestEventDrivenDetection:
         core.frontend_stage.quiesced = True
         with pytest.raises(InvariantViolation, match="quiesce-coherence"):
             core.checker.check_cycle(core.cycle)
+
+
+class TestParkedLoads:
+    """MSHR-rejected loads parked by issue: the skipped probes must be
+    provably doomed, and the parked list must stay coherent."""
+
+    @staticmethod
+    def parked_core():
+        core = sanitized_core(policy="OOO", instructions=300)
+        TestEventDrivenDetection._step_until(core, lambda: core.iq._parked)
+        return core
+
+    def test_parked_loads_checked_on_clean_run(self):
+        core = self.parked_core()
+        core.checker.check_cycle(core.cycle)
+        assert core.cycle < core.iq.parked_until
+
+    def test_nready_counts_parked_loads(self):
+        core = self.parked_core()
+        core.iq._parked.pop()
+        with pytest.raises(InvariantViolation, match="iq-ready-coherence"):
+            core.checker.check_cycle(core.cycle)
+
+    def test_squashed_parked_load_detected(self):
+        core = self.parked_core()
+        core.iq._parked[0].squashed = True
+        with pytest.raises(InvariantViolation, match="iq-ready-coherence"):
+            core.checker.check_cycle(core.cycle)
+
+    def test_mshr_min_drift_detected(self):
+        core = self.parked_core()
+        core.mem._mshr_min -= 1
+        with pytest.raises(InvariantViolation, match="mshr-parked"):
+            core.checker.check_cycle(core.cycle)
+
+    def test_free_mshr_while_parked_detected(self):
+        core = self.parked_core()
+        mem = core.mem
+        mem._mshr_done.remove(mem._mshr_min)
+        mem._mshr_min = min(mem._mshr_done)
+        with pytest.raises(InvariantViolation, match="mshr-parked"):
+            core.checker.check_cycle(core.cycle)
+
+    def test_parked_line_present_in_l1_detected(self):
+        core = self.parked_core()
+        core.mem.l1d.insert(core.iq._parked[0].static.addr)
+        with pytest.raises(InvariantViolation, match="mshr-parked"):
+            core.checker.check_cycle(core.cycle)
+
+    def test_parked_behind_fifo_head_detected(self):
+        core = sanitized_core(policy="OOO", instructions=300)
+        iq = core.iq
+        TestEventDrivenDetection._step_until(
+            core, lambda: len(iq._parked) >= 2)
+        # The oldest parked load back in the FIFO while younger ones stay
+        # parked: issue would now probe them out of age order.
+        oldest = iq._parked.pop(0)
+        fc = oldest.static.fu_cls
+        iq._ready[fc].appendleft(oldest)
+        iq._nonempty |= 1 << fc
+        with pytest.raises(InvariantViolation, match="mshr-parked"):
+            core.checker.check_cycle(core.cycle)
