@@ -54,7 +54,7 @@ from repro.core.fastfwd import (
 )
 from repro.core.runahead import OOO, RunaheadPolicy, get_policy
 from repro.isa.trace import Trace
-from repro.sim import SimResult, _delta_result, _snapshot
+from repro.sim import SimResult, build_core, measure
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.catalog import get_workload
 
@@ -202,10 +202,10 @@ def warm_checkpoint(
 ) -> Checkpoint:
     """Run warmup once and capture the resulting state.
 
-    With the default ``warmup_mode="detailed"`` this mirrors the front
-    half of :func:`repro.sim.simulate` exactly (workload resolution,
-    trace build, region preload, warmup run) so a fork measured under
-    ``policy`` reproduces a cold run bit for bit.
+    With the default ``warmup_mode="detailed"`` this is the front half
+    of :func:`repro.sim.simulate` (the same
+    :func:`~repro.sim.build_core`, then the warmup run) so a fork
+    measured under ``policy`` reproduces a cold run bit for bit.
     ``warmup_mode="fast"`` warms the long-lived structures through the
     functional walk (:func:`repro.core.fastfwd.functional_warmup`)
     instead of the detailed pipeline — an explicit approximation,
@@ -221,20 +221,12 @@ def warm_checkpoint(
     import time
 
     validate_warmup_mode(warmup_mode)
-    if isinstance(workload, str):
-        workload = get_workload(workload)
-    if isinstance(policy, str):
-        policy = get_policy(policy)
     if isinstance(ledger, str):
         from repro.obs.ledger import RunLedger
         ledger = RunLedger(ledger)
-    trace = workload.build_trace(seed=seed)
-    core_seed = 0 if seed is None else seed
-    core = OutOfOrderCore(machine, trace, policy, seed=core_seed,
-                          record_ace_intervals=record_ace_intervals,
-                          validate=validate)
-    for level, base, size in workload.resident_regions():
-        core.mem.preload(base, size, level)
+    core, name = build_core(workload, machine, policy, seed,
+                            record_ace_intervals=record_ace_intervals,
+                            validate=validate)
     t0 = time.perf_counter()
     if warmup > 0:
         if warmup_mode == "fast":
@@ -246,11 +238,11 @@ def warm_checkpoint(
                 core.run(tail)
         else:
             core.run(warmup)
-    checkpoint = Checkpoint.capture(core, workload.name, warmup, seed,
+    checkpoint = Checkpoint.capture(core, name, warmup, seed,
                                     warmup_mode=warmup_mode)
     if ledger is not None:
-        ledger.warmup_shared(workload=workload.name, machine=machine.name,
-                             policy=policy.name, warmup=warmup,
+        ledger.warmup_shared(workload=name, machine=machine.name,
+                             policy=core.policy.name, warmup=warmup,
                              mode=warmup_mode,
                              wall_s=time.perf_counter() - t0)
     return checkpoint
@@ -294,18 +286,9 @@ def simulate_from(
     core = checkpoint.fork(pol, validate=validate, oracle=oracle)
     if telemetry is not None:
         telemetry.attach(core)
-        telemetry.begin_measurement(core)
-    start = _snapshot(core)
     t0 = time.perf_counter()
-    core.run(instructions)
+    result = measure(core, instructions, checkpoint.workload)
     wall_s = time.perf_counter() - t0
-    result = _delta_result(core, start, checkpoint.workload)
-    if core.checker is not None:
-        core.checker.final_check()
-    if core.oracle is not None:
-        core.oracle.final_check(expect_drained=core.engine.exhausted)
-    if telemetry is not None:
-        telemetry.end_measurement(core, result)
     if ledger is not None:
         from repro.obs.manifest import point_manifest
         kips = (result.instructions / wall_s / 1000.0) if wall_s else 0.0

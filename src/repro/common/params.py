@@ -229,7 +229,8 @@ class MachineParams:
     #: mapping (the default used throughout the paper reproduction).
     page_shuffle_seed: Optional[int] = None
 
-    def with_core(self, core: CoreParams, name: Optional[str] = None) -> "MachineParams":
+    def with_core(self, core: CoreParams,
+                  name: Optional[str] = None) -> "MachineParams":
         return replace(self, core=core, name=name or self.name)
 
     def with_prefetcher(

@@ -75,14 +75,29 @@ class FrontEndStage(Component):
         self._seq += 1
         return self._seq
 
+    def train_branch(self, st) -> bool:
+        """Train the predictor and the BTB on correct-path branch ``st``
+        and return the direction fetch follows.
+
+        Fetch and the functional warmup walk (``repro.core.fastfwd``)
+        both train through here, so they apply the same sequence.
+        """
+        predicted = self.predictor.observe(st.pc, st.taken)
+        target = self.btb.lookup(st.pc)
+        self.btb.update(st.pc, st.target)
+        if st.taken and target < 0:
+            # BTB miss on a taken branch: fetch cannot follow.
+            return False
+        return predicted
+
     def step(self, c: int) -> int:
         if self.ra.mode != Mode.NORMAL:
             return 0
         frontend = self.frontend
         if c < frontend.resume_cycle:
             return 0
-        # Inlined push/can_fetch: neither the gate nor the capacity can
-        # change while fetching, so hoist them out of the loop.
+        # Neither the fetch gate nor the pipe capacity can change while
+        # fetching: the gate is checked once, the capacity read once.
         pipe = frontend._pipe
         cap = frontend.capacity
         arrival = c + frontend.depth
@@ -102,13 +117,7 @@ class FrontEndStage(Component):
                 seq += 1
                 u = DynUop(st, seq)
                 if st.cls == _BRANCH:
-                    predicted = self.predictor.observe(st.pc, st.taken)
-                    target = self.btb.lookup(st.pc)
-                    self.btb.update(st.pc, st.target)
-                    if st.taken and target < 0:
-                        # BTB miss on a taken branch: fetch cannot follow.
-                        predicted = not st.taken
-                    u.predicted_taken = predicted
+                    u.predicted_taken = predicted = self.train_branch(st)
                     if predicted != st.taken:
                         self.pending_branch = u
                 self.fetch_idx += 1
@@ -473,9 +482,10 @@ class WindowBackEnd(Component):
         regs = self.regs
         iq = self.iq
         while n < budget:
-            # Inlined peek/pop plus the allocator capacity checks, in the
-            # same order (and with the same short-circuits) as the
-            # regfile/ROB/LSQ/IQ methods they replace.
+            # The oldest fetched uop dispatches once it has traversed the
+            # front-end pipe and the register file, ROB, LQ/SQ and IQ each
+            # have room, checked in that order; only a register shortage
+            # marks a rename stall for the late runahead trigger.
             if not pipe:
                 break
             u, ready_at = pipe[0]

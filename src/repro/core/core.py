@@ -12,10 +12,9 @@ event heap and fast-forward live in :class:`~repro.core.engine.SimEngine`,
 and the pipeline stages are :class:`~repro.core.engine.Component`
 instances (:mod:`repro.core.components`) that each own a disjoint slice
 of the mutable state. The facade constructs the hardware structures,
-wires the components together, and re-exports the historical attribute
-surface (``core.cycle``, ``core.mode``, ``core._step()``, …) by
-delegation so ``simulate()``, telemetry hooks and the test suite are
-unaffected. See docs/architecture.md for the decomposition and the
+wires the components together, and delegates the clock and the mode
+(``core.cycle``, ``core.mode``) to the engine and the runahead
+controller. See docs/architecture.md for the decomposition and the
 checkpoint lifecycle built on it.
 
 Mechanism summary (see DESIGN.md §4 for the full matrix):
@@ -335,22 +334,10 @@ class OutOfOrderCore:
         """Simulate until ``max_instructions`` have committed."""
         self.engine.run(max_instructions)
 
-    def _step(self) -> int:
-        return self.engine.step()
-
-    def _fast_forward(self) -> None:
-        self.engine.fast_forward()
-
-    def _schedule(self, cycle: int, kind: int, payload: object) -> None:
-        self.engine.schedule(cycle, kind, payload)
-
-    def _writeback(self, uop, when: int) -> None:
-        self.backend.writeback(uop, when)
-
     # --------------------------------------------------- delegated state
-    # The historical flat attribute surface, routed to the component that
-    # now owns each piece of state. Both reads and writes delegate, so
-    # white-box tests and external drivers keep working unchanged.
+    # The clock and the mode are read and set through the facade by the
+    # simulation drivers and the observability layer. Everything else is
+    # reached through the component that owns it.
 
     @property
     def cycle(self) -> int:
@@ -369,62 +356,6 @@ class OutOfOrderCore:
         # Through set_mode so the quiescence flags stay consistent even
         # when a test or external driver forces the mode directly.
         self.runahead_ctl.set_mode(value)
-
-    @property
-    def blocking(self):
-        return self.runahead_ctl.blocking
-
-    @blocking.setter
-    def blocking(self, value) -> None:
-        self.runahead_ctl.blocking = value
-
-    @property
-    def fetch_idx(self) -> int:
-        return self.frontend_stage.fetch_idx
-
-    @fetch_idx.setter
-    def fetch_idx(self, value: int) -> None:
-        self.frontend_stage.fetch_idx = value
-
-    @property
-    def pending_branch(self):
-        return self.frontend_stage.pending_branch
-
-    @pending_branch.setter
-    def pending_branch(self, value) -> None:
-        self.frontend_stage.pending_branch = value
-
-    @property
-    def next_dispatch_idx(self) -> int:
-        return self.backend.next_dispatch_idx
-
-    @next_dispatch_idx.setter
-    def next_dispatch_idx(self, value: int) -> None:
-        self.backend.next_dispatch_idx = value
-
-    @property
-    def inflight(self):
-        return self.backend.inflight
-
-    @property
-    def _out_misses(self) -> int:
-        return self.backend._out_misses
-
-    @_out_misses.setter
-    def _out_misses(self, value: int) -> None:
-        self.backend._out_misses = value
-
-    @property
-    def _events(self):
-        return self.engine._events
-
-    @property
-    def _ra_inv(self):
-        return self.runahead_ctl._ra_inv
-
-    @property
-    def _ra_hist_ckpt(self) -> int:
-        return self.runahead_ctl._ra_hist_ckpt
 
     # ============================================================ results
 

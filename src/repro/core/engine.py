@@ -135,45 +135,13 @@ class SimEngine(Component):
         stats = self._stats
         target = stats.committed + max_instructions
         telemetry = core.telemetry
-        # Two loop bodies so the common telemetry-off path pays neither the
-        # per-cycle ``is not None`` test nor the ``stats.cycles`` store;
-        # the clock is published once on every exit path instead.
         try:
-            if telemetry is None:
-                # Inlined step() body: the per-cycle loop is the hottest
-                # code in the simulator, so the cross-component references
-                # are hoisted out of it entirely. process_events and
-                # fast_forward stay dynamic lookups — the host profiler
-                # shadows them on the instance.
-                pipeline = self._pipeline
-                backend = self._backend
-                ra = self._ra
-                flush_stall = Mode.FLUSH_STALL
-                while stats.committed < target:
-                    c = self.cycle
-                    ev = self._events
-                    progress = (self.process_events(c)
-                                if ev and ev[0][0] <= c else 0)
-                    for comp in pipeline:
-                        if comp.quiesced:
-                            continue
-                        progress += comp.step(c)
-                    out_misses = backend._out_misses
-                    if out_misses > 0:
-                        stats.mlp_sum += out_misses
-                        stats.mlp_cycles += 1
-                    if ra.mode is flush_stall:
-                        stats.flush_stall_cycles += 1
-                    if progress:
-                        self.cycle = c + 1
-                    else:
-                        self.fast_forward()
-            else:
-                while stats.committed < target:
-                    if self.step():
-                        self.cycle += 1
-                    else:
-                        self.fast_forward()
+            while stats.committed < target:
+                if self.step():
+                    self.cycle += 1
+                else:
+                    self.fast_forward()
+                if telemetry is not None:
                     stats.cycles = self.cycle
                     telemetry.tick(core)
         except TraceExhausted:
@@ -187,7 +155,8 @@ class SimEngine(Component):
         """Simulate the current cycle; returns activity count (0 = idle).
 
         Does *not* advance :attr:`cycle` — :meth:`run` owns the clock so
-        that idle stretches can fast-forward.
+        that idle stretches can fast-forward. ``process_events`` is looked
+        up on the instance each cycle: the host profiler shadows it there.
         """
         c = self.cycle
         ev = self._events

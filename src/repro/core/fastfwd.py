@@ -10,7 +10,8 @@ trace in program order instead, one static uop at a time, applying only
 the state updates the detailed pipeline would make to those long-lived
 structures:
 
-- **branches** run the exact front-end training sequence
+- **branches** train through the front end's own
+  :meth:`~repro.core.components.FrontEndStage.train_branch`
   (``predictor.observe`` → ``btb.lookup`` → ``btb.update``), so TAGE
   tables, folded histories and the BTB end up trained on the same
   correct-path stream;
@@ -114,11 +115,9 @@ def functional_warmup(core, warmup: int) -> int:
         raise ValueError("functional_warmup needs a freshly built core")
     trace = core.trace
     mem = core.mem
-    predictor = core.predictor
-    btb = core.btb
     ra = core.runahead_ctl
     access = mem.access
-    observe = predictor.observe
+    train_branch = core.frontend_stage.train_branch
     cycle = 0
     idx = 0
     while idx < warmup:
@@ -127,9 +126,7 @@ def functional_warmup(core, warmup: int) -> int:
             break  # trace shorter than the warmup region
         cls = st.cls
         if cls == _BRANCH:
-            observe(st.pc, st.taken)
-            btb.lookup(st.pc)
-            btb.update(st.pc, st.target)
+            train_branch(st)
         elif cls == _LOAD:
             result = access(st.addr, cycle, pc=st.pc)
             while result is None:  # MSHRs full: jump to next completion

@@ -61,14 +61,6 @@ class IssueQueue:
     def __len__(self) -> int:
         return len(self._waiting) + self._nready + self.runahead_used
 
-    @property
-    def full(self) -> bool:
-        return len(self) >= self.size
-
-    @property
-    def free(self) -> int:
-        return max(0, self.size - len(self))
-
     def _push_ready(self, uop: DynUop) -> None:
         uop.ready_ord = self._next_ord
         self._next_ord += 1
@@ -92,10 +84,6 @@ class IssueQueue:
         if uop.pending == 0 and uop in self._waiting:
             self._waiting.discard(uop)
             self._push_ready(uop)
-
-    @property
-    def ready_count(self) -> int:
-        return self._nready
 
     def squash(self) -> int:
         """Drop every queued uop flagged ``squashed``; returns the count."""

@@ -1,7 +1,8 @@
 """Load and store queues.
 
 Occupancy-only model: entries are allocated at dispatch (dispatch stalls
-when the relevant queue is full) and released at commit or squash. Timing
+when the relevant queue is full; ``WindowBackEnd._do_dispatch`` does both
+inline) and released at commit or squash. Timing
 of the memory accesses themselves is handled by the hierarchy; the LSQ's
 simulator role is (a) back-pressure and (b) the ACE-vulnerable state its
 entries hold between execute and commit (120 b/entry LQ, 184 b/entry SQ).
@@ -20,33 +21,6 @@ class LoadStoreQueues:
         self.sq_size = sq_size
         self.lq_used = 0
         self.sq_used = 0
-
-    @property
-    def lq_full(self) -> bool:
-        return self.lq_used >= self.lq_size
-
-    @property
-    def sq_full(self) -> bool:
-        return self.sq_used >= self.sq_size
-
-    def can_allocate(self, uop: DynUop) -> bool:
-        if uop.static.is_load:
-            return not self.lq_full
-        if uop.static.is_store:
-            return not self.sq_full
-        return True
-
-    def allocate(self, uop: DynUop) -> None:
-        if uop.static.is_load:
-            if self.lq_full:
-                raise OverflowError("LQ full")
-            self.lq_used += 1
-            uop.in_lq = True
-        elif uop.static.is_store:
-            if self.sq_full:
-                raise OverflowError("SQ full")
-            self.sq_used += 1
-            uop.in_sq = True
 
     def release(self, uop: DynUop) -> None:
         """Release the entry held by a dispatched load/store.

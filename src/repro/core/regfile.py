@@ -4,7 +4,8 @@ Counter-based rename model: the architectural mappings permanently hold
 ``arch_regs`` physical registers per class; every dispatched uop with a
 destination claims one more from the free pool and returns one at commit
 (the previous mapping of its architectural destination) or at squash (its
-own allocation). Dispatch stalls when a class' free pool is empty.
+own allocation). Dispatch stalls when a class' free pool is empty; both
+the check and the claim are inline in ``WindowBackEnd._do_dispatch``.
 
 A RAT checkpoint (taken at runahead entry) is modelled as restoring the
 free-pool levels recorded at checkpoint time minus registers still held by
@@ -27,23 +28,6 @@ class RegisterFiles:
         #: registers lent to runahead slice uops (PRDQ-managed)
         self.runahead_int = 0
         self.runahead_fp = 0
-
-    def can_allocate(self, uop: DynUop) -> bool:
-        if not uop.static.has_dest:
-            return True
-        return (self.fp_free if uop.static.is_fp else self.int_free) > 0
-
-    def allocate(self, uop: DynUop) -> None:
-        if not uop.static.has_dest:
-            return
-        if uop.static.is_fp:
-            if self.fp_free <= 0:
-                raise OverflowError("fp register file exhausted")
-            self.fp_free -= 1
-        else:
-            if self.int_free <= 0:
-                raise OverflowError("int register file exhausted")
-            self.int_free -= 1
 
     def release(self, uop: DynUop) -> None:
         if not uop.static.has_dest:

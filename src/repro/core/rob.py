@@ -36,22 +36,6 @@ class ReorderBuffer:
     def head(self) -> Optional[DynUop]:
         return self._q[0] if self._q else None
 
-    def push(self, uop: DynUop) -> None:
-        if self.full:
-            raise OverflowError("ROB full")
-        self._q.append(uop)
-
-    def pop_head(self) -> DynUop:
-        return self._q.popleft()
-
-    def tick_timer(self) -> None:
-        """Advance the head countdown timer by one cycle.
-
-        Must be called exactly once per simulated cycle (fast-forwarded
-        spans call :meth:`advance_timer` with the span length instead).
-        """
-        self.advance_timer(1)
-
     def advance_timer(self, cycles: int) -> None:
         q = self._q
         head = q[0] if q else None

@@ -93,25 +93,6 @@ class FrontEnd:
     def full(self) -> bool:
         return len(self._pipe) >= self.capacity
 
-    def can_fetch(self, cycle: int) -> bool:
-        return cycle >= self.resume_cycle and len(self._pipe) < self.capacity
-
-    def push(self, uop, cycle: int) -> None:
-        self._pipe.append((uop, cycle + self.depth))
-
-    def peek_ready(self, cycle: int):
-        """The oldest uop if it has traversed the pipe, else None."""
-        if not self._pipe:
-            return None
-        uop, ready = self._pipe[0]
-        if ready > cycle:
-            return None
-        return uop
-
-    def pop(self):
-        uop, _ = self._pipe.popleft()
-        return uop
-
     def next_arrival(self) -> Optional[int]:
         """Cycle at which the oldest queued uop becomes dispatchable."""
         if not self._pipe:

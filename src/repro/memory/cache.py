@@ -100,25 +100,9 @@ class Cache:
         if ways is not None and tag in ways:
             self._dirty.add((set_idx, tag))
 
-    def invalidate(self, addr: int) -> bool:
-        set_idx, tag = self._index(addr)
-        ways = self._sets.get(set_idx)
-        if ways is None or tag not in ways:
-            return False
-        ways.remove(tag)
-        self._dirty.discard((set_idx, tag))
-        return True
-
     def _reconstruct(self, set_idx: int, tag: int) -> int:
         return ((tag << self._tag_shift) | set_idx) << self._line_shift
 
     @property
     def accesses(self) -> int:
         return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    def reset_stats(self) -> None:
-        self.hits = self.misses = self.evictions = self.writebacks = 0

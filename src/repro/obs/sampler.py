@@ -74,7 +74,7 @@ class IntervalSampler:
             "iq_occ": len(core.iq),
             "lq_occ": core.lsq.lq_used,
             "sq_occ": core.lsq.sq_used,
-            "outstanding_misses": core._out_misses,
+            "outstanding_misses": core.backend._out_misses,
             "dram_q": dram.queue_depth(cycle),
             "dram_banks": dram.busy_banks(cycle),
             "mode": core.mode.name,
@@ -82,7 +82,7 @@ class IntervalSampler:
             # workloads): an approximation of "the phase being executed"
             # — commit lags fetch by at most the window, far below the
             # thousands of instructions a phase segment spans.
-            "phase": core.trace.phase_of(core.fetch_idx),
+            "phase": core.trace.phase_of(core.frontend_stage.fetch_idx),
         }
         rows = self.rows
         while self.next_cycle <= cycle:

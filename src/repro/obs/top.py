@@ -18,7 +18,6 @@ from repro.obs.ledger import (
     check_complete,
     load_status,
     point_label,
-    read_ledger,
 )
 
 __all__ = ["render_status", "render_ledger_report", "run_top"]

@@ -9,7 +9,7 @@ The one-call entry point for users and for the benchmark harness::
 """
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.common.params import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP, \
     MachineParams
@@ -120,36 +120,68 @@ def simulate(
     Returns:
         a :class:`SimResult` with the measured window's statistics.
     """
-    if isinstance(workload, str):
-        workload = get_workload(workload)
-    regions = []
-    # Duck-typed: WorkloadSpec, TraceWorkload and friends all quack
-    # build_trace/resident_regions; a bare Trace is used directly.
-    if hasattr(workload, "build_trace"):
-        name = workload.name
-        trace = workload.build_trace(seed=seed)
-        regions = workload.resident_regions()
-    else:
-        name = workload.name
-        trace = workload
-    if isinstance(policy, str):
-        policy = get_policy(policy)
     if instructions <= 0:
         raise ValueError("instructions must be positive")
-
-    # Pass the seed through explicitly: `seed or 0` would conflate
-    # seed=0 with seed=None.
-    core_seed = 0 if seed is None else seed
-    core = OutOfOrderCore(machine, trace, policy, seed=core_seed,
-                          telemetry=telemetry, validate=validate)
+    core, name = build_core(workload, machine, policy, seed,
+                            telemetry=telemetry, validate=validate)
     if oracle:
         # Lazy import, same pattern as the invariant checker wiring.
         from repro.validate.oracle import attach_oracle
         attach_oracle(core)
-    for level, base, size in regions:
-        core.mem.preload(base, size, level)
     if warmup > 0:
         core.run(warmup)
+    return measure(core, instructions, name)
+
+
+def build_core(
+    workload: Union[WorkloadSpec, Trace, str],
+    machine: MachineParams,
+    policy: Union[RunaheadPolicy, str],
+    seed: Optional[int] = None,
+    **core_kwargs: Any,
+) -> Tuple[OutOfOrderCore, str]:
+    """Build the cold core of one point; returns ``(core, workload name)``.
+
+    The build sequence shared by :func:`simulate` and
+    :func:`repro.checkpoint.warm_checkpoint`: resolve the workload and
+    the policy, build the trace under ``seed``, construct the core and
+    preload the workload's resident regions. A bare :class:`Trace` is
+    used as is, with nothing to preload. ``seed=None`` keeps the
+    workload's own trace seed and gives the wrong-path source seed 0;
+    ``seed=0`` is a real seed, not an alias of ``None``. ``core_kwargs``
+    go to :class:`OutOfOrderCore`.
+    """
+    if isinstance(workload, str):
+        workload = get_workload(workload)
+    if isinstance(policy, str):
+        policy = get_policy(policy)
+    regions = ()
+    # Duck-typed: WorkloadSpec, TraceWorkload and friends all quack
+    # build_trace/resident_regions; a bare Trace is used directly.
+    if hasattr(workload, "build_trace"):
+        trace = workload.build_trace(seed=seed)
+        regions = workload.resident_regions()
+    else:
+        trace = workload
+    core = OutOfOrderCore(machine, trace, policy,
+                          seed=0 if seed is None else seed, **core_kwargs)
+    for level, base, size in regions:
+        core.mem.preload(base, size, level)
+    return core, workload.name
+
+
+def measure(core: OutOfOrderCore, instructions: int,
+            name: str) -> SimResult:
+    """Measure the next ``instructions`` commits of ``core``.
+
+    The measure sequence shared by :func:`simulate`,
+    :func:`repro.checkpoint.simulate_from` and the golden tier: open the
+    attached telemetry's measurement window, run, take the result as the
+    delta over the window, run the end-of-run checks of the invariant
+    sanitizer and the commit oracle when they are attached, and close
+    the telemetry window. ``name`` labels the result's workload.
+    """
+    telemetry = core.telemetry
     if telemetry is not None:
         telemetry.begin_measurement(core)
     start = _snapshot(core)

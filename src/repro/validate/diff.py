@@ -8,15 +8,18 @@ policy, seed) point:
 - ``fork`` — :func:`repro.checkpoint.warm_checkpoint` then
   :func:`repro.checkpoint.simulate_from` under the same policy, which
   the checkpoint layer contracts to be bit-identical to the cold run.
-- ``mp`` — the cold run executed inside a ``multiprocessing`` pool
-  worker, the way ``ExperimentRunner.run_matrix(jobs=N)`` fans out, with
-  the result shipped back as a ``to_dict()`` payload.
+- ``mp`` — the cold :func:`repro.sim.simulate` executed inside a
+  one-process ``multiprocessing`` pool worker, with the result shipped
+  back as a ``to_dict()`` payload. It checks that pickling the inputs
+  and the result changes nothing; it is not the farm that
+  ``ExperimentRunner.run_matrix(jobs=N)`` fans out on.
 
 :func:`differential_check` runs the requested paths, diffs the full
 :meth:`~repro.sim.SimResult.to_dict` payloads field by field, and — on
 divergence — re-runs the divergent pair with an interval-sampler
 timeline (rows align to the global cycle grid, so two bit-identical runs
-produce identical rows) and bisects to the *first* differing interval,
+produce identical rows; the sampler rides the same run loop as the
+untimed run) and bisects to the *first* differing interval,
 turning "the end states differ" into "they first disagree at cycle C in
 field F". Exposed on the command line as ``repro diff``.
 """

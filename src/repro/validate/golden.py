@@ -36,7 +36,7 @@ Command line::
 import hashlib
 import json
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.params import BASELINE, CORE1, CORE2, CORE3, CORE4, \
     MachineParams
@@ -161,7 +161,7 @@ def _measure(workload, label: str, machine: MachineParams,
     import time
 
     from repro.checkpoint import warm_checkpoint
-    from repro.sim import _delta_result, _snapshot
+    from repro.sim import measure
 
     if isinstance(ledger, str):
         from repro.obs.ledger import RunLedger
@@ -172,11 +172,8 @@ def _measure(workload, label: str, machine: MachineParams,
     t0 = time.perf_counter()
     cp = warm_checkpoint(workload, machine, policy, warmup=warmup)
     core = cp.fork(oracle=True)
-    start = _snapshot(core)
-    core.run(instructions)
+    result = measure(core, instructions, cp.workload)
     wall_s = time.perf_counter() - t0
-    result = _delta_result(core, start, cp.workload)
-    core.oracle.final_check(expect_drained=core.engine.exhausted)
     digest = core.oracle.digest()
     fingerprint = canonical_fingerprint(
         {"result": result.to_dict(), "commit_digest": digest})
@@ -224,54 +221,67 @@ def measure_scenario(scenario: str, policy: str,
                     ledger=ledger)
 
 
-def _measure_task(task: Tuple[str, str, int, int, Optional[str]],
-                  ) -> Tuple[str, str, Dict[str, Any]]:
+def _grid_task(task: Tuple[Callable[..., Dict[str, Any]], str, str, int,
+                          int, Optional[str]],
+               ) -> Tuple[str, str, Dict[str, Any]]:
     """Pool worker: one point per task for even load balance."""
-    machine_name, policy, instructions, warmup, ledger_path = task
-    return machine_name, policy, measure_point(machine_name, policy,
-                                               instructions, warmup,
-                                               ledger=ledger_path)
+    measure, row, policy, instructions, warmup, ledger_path = task
+    return row, policy, measure(row, policy, instructions, warmup,
+                                ledger=ledger_path)
 
 
-def _measure_all(jobs: int, instructions: int, warmup: int,
-                 ledger: Optional[str] = None,
-                 ) -> Dict[str, Dict[str, Dict[str, Any]]]:
-    """Measure the full grid; returns machine -> policy -> entry.
+def _measure_grid(measure: Callable[..., Dict[str, Any]],
+                  sizes: Dict[str, Tuple[int, int]], jobs: int,
+                  ledger: Optional[str], envelope: Dict[str, Any],
+                  ) -> Dict[str, Dict[str, Dict[str, Any]]]:
+    """Measure every (row, policy) point; returns row -> policy -> entry.
 
-    With ``ledger`` set, the grid measurement is wrapped in a
-    ``sweep_start``/``sweep_done`` envelope and each point appends its
-    events — so a conformance run is monitorable with ``repro top``
-    and auditable post mortem like any sweep.
+    ``measure`` is :func:`measure_point` (rows are machines) or
+    :func:`measure_scenario` (rows are scenarios); ``sizes`` maps each
+    row to its (instructions, warmup). With ``ledger`` set, the grid
+    measurement is wrapped in a ``sweep_start``/``sweep_done`` envelope
+    (``envelope`` holds the grid's own ``sweep_start`` fields) and each
+    point appends its events — so a conformance run is monitorable with
+    ``repro top`` and auditable post mortem like any sweep.
     """
     import time
 
     from repro.analysis.experiments import _pool_context
 
+    tasks = [(measure, row, p, n, w, ledger)
+             for row, (n, w) in sizes.items() for p in GOLDEN_POLICIES]
     run_ledger = None
     if ledger:
         from repro.obs.ledger import RunLedger
         from repro.obs.manifest import host_manifest
         run_ledger = RunLedger(ledger)
-        run_ledger.sweep_start(
-            total_points=len(golden_points()), workload=GOLDEN_WORKLOAD,
-            machines=list(GOLDEN_MACHINES), policies=list(GOLDEN_POLICIES),
-            jobs=jobs, instructions=instructions, warmup=warmup,
-            manifest=host_manifest())
+        run_ledger.sweep_start(total_points=len(tasks),
+                               manifest=host_manifest(), **envelope)
     t0 = time.perf_counter()
-    tasks = [(m, p, instructions, warmup, ledger)
-             for m, p in golden_points()]
     if jobs > 1:
         with _pool_context().Pool(min(jobs, len(tasks))) as pool:
-            measured = pool.map(_measure_task, tasks)
+            measured = pool.map(_grid_task, tasks)
     else:
-        measured = [_measure_task(t) for t in tasks]
+        measured = [_grid_task(t) for t in tasks]
     out: Dict[str, Dict[str, Dict[str, Any]]] = {}
-    for machine_name, policy, entry in measured:
-        out.setdefault(machine_name, {})[policy] = entry
+    for row, policy, entry in measured:
+        out.setdefault(row, {})[policy] = entry
     if run_ledger is not None:
         run_ledger.sweep_done(elapsed_s=time.perf_counter() - t0,
                               points_run=len(tasks), points_cached=0)
     return out
+
+
+def _measure_all(jobs: int, instructions: int, warmup: int,
+                 ledger: Optional[str] = None,
+                 ) -> Dict[str, Dict[str, Dict[str, Any]]]:
+    """Measure the baseline grid; returns machine -> policy -> entry."""
+    return _measure_grid(
+        measure_point, {m: (instructions, warmup) for m in GOLDEN_MACHINES},
+        jobs, ledger, dict(workload=GOLDEN_WORKLOAD,
+                           machines=list(GOLDEN_MACHINES),
+                           policies=list(GOLDEN_POLICIES), jobs=jobs,
+                           instructions=instructions, warmup=warmup))
 
 
 def _machine_path(directory: str, machine_name: str) -> str:
@@ -380,15 +390,6 @@ def check_golden(directory: str = GOLDEN_DIR,
 
 # ------------------------------------------------------------- scenarios
 
-def _scenario_task(task: Tuple[str, str, int, int, Optional[str]],
-                   ) -> Tuple[str, str, Dict[str, Any]]:
-    """Pool worker: one scenario point per task."""
-    scenario, policy, instructions, warmup, ledger_path = task
-    return scenario, policy, measure_scenario(scenario, policy,
-                                              instructions, warmup,
-                                              ledger=ledger_path)
-
-
 def _measure_scenarios(jobs: int,
                        sizes: Dict[str, Tuple[int, int]],
                        ledger: Optional[str] = None,
@@ -398,35 +399,10 @@ def _measure_scenarios(jobs: int,
     ``sizes`` maps scenario -> (instructions, warmup) — the module
     defaults on regen, the frozen file's recorded sizes on check.
     """
-    import time
-
-    from repro.analysis.experiments import _pool_context
-
-    run_ledger = None
-    if ledger:
-        from repro.obs.ledger import RunLedger
-        from repro.obs.manifest import host_manifest
-        run_ledger = RunLedger(ledger)
-        run_ledger.sweep_start(
-            total_points=len(sizes) * len(GOLDEN_POLICIES),
-            workload="golden-scenarios", machines=["baseline"],
-            policies=list(GOLDEN_POLICIES), jobs=jobs,
-            manifest=host_manifest())
-    t0 = time.perf_counter()
-    tasks = [(s, p, sizes[s][0], sizes[s][1], ledger)
-             for s in sizes for p in GOLDEN_POLICIES]
-    if jobs > 1:
-        with _pool_context().Pool(min(jobs, len(tasks))) as pool:
-            measured = pool.map(_scenario_task, tasks)
-    else:
-        measured = [_scenario_task(t) for t in tasks]
-    out: Dict[str, Dict[str, Dict[str, Any]]] = {}
-    for scenario, policy, entry in measured:
-        out.setdefault(scenario, {})[policy] = entry
-    if run_ledger is not None:
-        run_ledger.sweep_done(elapsed_s=time.perf_counter() - t0,
-                              points_run=len(tasks), points_cached=0)
-    return out
+    return _measure_grid(
+        measure_scenario, sizes, jobs, ledger,
+        dict(workload="golden-scenarios", machines=["baseline"],
+             policies=list(GOLDEN_POLICIES), jobs=jobs))
 
 
 def _scenario_path(directory: str) -> str:

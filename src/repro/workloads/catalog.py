@@ -164,7 +164,8 @@ def _memory_set() -> List[WorkloadSpec]:
     ))
     w.append(_spec(
         "soplex", True, "LP solver: sparse matrix randoms + some streams",
-        patterns={"main": hot_mix(_random(), 0.92), "col": hot_mix(_stream(streams=4), 0.93)},
+        patterns={"main": hot_mix(_random(), 0.92),
+                  "col": hot_mix(_stream(streams=4), 0.93)},
         pattern_weights={"main": 0.6, "col": 0.4},
         load_frac=0.28, store_frac=0.08, branch_frac=0.13,
         hard_branch_frac=0.25, chain=0.35, fp_frac=0.10, load_consume=0.40,

@@ -18,7 +18,7 @@ behaviours the paper's benchmarks exhibit:
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 LINE = 64
 
@@ -201,8 +201,9 @@ def hot_mix(cold: PatternSpec, hot_fraction: float,
 
     ``hot_fraction`` is the MPKI dial: raising it lowers the miss rate
     without changing the cold pattern's character. ``warm_fraction`` is
-    carved out of the hot share and directed at an L3-resident region (larger than the private L2, far
-    smaller than the LLC's eviction-cycling footprint) —
+    carved out of the hot share and directed at an L3-resident region
+    (larger than the private L2, far smaller than the LLC's
+    eviction-cycling footprint) —
     those loads stall the head for tens of cycles without being LLC misses,
     which is where the paper's ~30% of *non*-miss-shadow vulnerable state
     comes from (Figure 5). The warm region must stay small enough that its

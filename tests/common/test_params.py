@@ -12,7 +12,6 @@ from repro.common.params import (
     CacheParams,
     CoreParams,
     DramParams,
-    MachineParams,
     PrefetcherParams,
 )
 

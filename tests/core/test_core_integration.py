@@ -8,13 +8,16 @@ squashed state is un-ACE, modes transition correctly, and bookkeeping
 
 import pytest
 
-from repro.common.enums import Mode, UopClass
+from repro.common.enums import Mode
 from repro.common.params import BASELINE
 from repro.core.core import OutOfOrderCore
 from repro.core.runahead import (
     FLUSH, OOO, PRE, PRE_EARLY, RAR, RAR_LATE, TR, TR_EARLY,
 )
+from repro.sim import build_core
 from repro.workloads.catalog import get_workload
+
+from tests.core.probe import run_until
 
 
 def run_core(workload="libquantum", policy=OOO, instructions=4000,
@@ -147,25 +150,21 @@ class TestRunaheadTriggers:
 
 class TestModeTransitions:
     def test_runahead_mode_entered_and_left(self):
-        spec = get_workload("libquantum")
-        core = OutOfOrderCore(BASELINE, spec.build_trace(), RAR)
-        for level, base, size in spec.resident_regions():
-            core.mem.preload(base, size, level)
+        core, _ = build_core("libquantum", BASELINE, RAR)
         seen_modes = set()
-        target = 4000
-        while core.stats.committed < target:
-            if core._step():
-                core.cycle += 1
-            else:
-                core._fast_forward()
-            seen_modes.add(core.mode)
+
+        def watch(c):
+            seen_modes.add(c.mode)
+            return False
+
+        run_until(core, watch, 4000)
         assert Mode.RUNAHEAD in seen_modes
         assert Mode.NORMAL in seen_modes
 
     def test_blocking_load_cleared_after_exit(self):
         core = run_core("libquantum", RAR)
         if core.mode == Mode.NORMAL:
-            assert core.blocking is None
+            assert core.runahead_ctl.blocking is None
 
     def test_runahead_state_reset_between_intervals(self):
         core = run_core("libquantum", RAR)

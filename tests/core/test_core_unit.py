@@ -1,6 +1,6 @@
 """White-box unit tests of OutOfOrderCore internals."""
 
-import pytest
+import itertools
 
 from repro.common.enums import Mode, UopClass
 from repro.common.params import BASELINE
@@ -8,7 +8,10 @@ from repro.core.core import OutOfOrderCore, SimStats
 from repro.core.runahead import OOO, RAR
 from repro.isa.trace import Trace
 from repro.isa.uop import StaticUop
+from repro.sim import build_core
 from repro.workloads.catalog import get_workload
+
+from tests.core.probe import run_until
 
 
 def linear_trace(n=2000, cls=UopClass.INT_ADD):
@@ -61,7 +64,7 @@ class TestEventStaleness:
                           seq=10 ** 9 + 1)
         consumer.pending = 1
         victim.consumers.append(consumer)
-        core._writeback(victim, core.cycle)
+        core.backend.writeback(victim, core.cycle)
         assert not victim.completed
         assert consumer.pending == 1  # no wakeup from squashed producers
 
@@ -79,7 +82,7 @@ class TestWrongPath:
         core.run(2500)
         # Whatever the instantaneous state, a pending branch must be a
         # live, dispatched, unresolved instance.
-        pb = core.pending_branch
+        pb = core.frontend_stage.pending_branch
         if pb is not None:
             assert not pb.squashed
             assert not pb.completed
@@ -120,16 +123,15 @@ class TestRunaheadDoesNotLeakIntoAce:
             core.stats.committed * (1 - nop_frac) * 0.95
 
     def test_mode_is_consistent_with_blocking(self):
-        spec = get_workload("libquantum")
-        core = OutOfOrderCore(BASELINE, spec.build_trace(), RAR)
-        for level, base, size in spec.resident_regions():
-            core.mem.preload(base, size, level)
-        for _ in range(3000):
-            if core._step():
-                core.cycle += 1
+        core, _ = build_core("libquantum", BASELINE, RAR)
+        ra = core.runahead_ctl
+        visited = itertools.count(1)
+
+        def check(c):
+            if c.mode == Mode.RUNAHEAD:
+                assert ra.blocking is not None
             else:
-                core._fast_forward()
-            if core.mode == Mode.RUNAHEAD:
-                assert core.blocking is not None
-            else:
-                assert core.blocking is None or core.mode == Mode.FLUSH_STALL
+                assert ra.blocking is None or c.mode == Mode.FLUSH_STALL
+            return next(visited) >= 3000
+
+        assert run_until(core, check, 10 ** 6)

@@ -3,7 +3,7 @@
 from repro.common.enums import Mode
 from repro.common.params import BASELINE
 from repro.core.core import OutOfOrderCore
-from repro.core.engine import EV_WB, Component, SimEngine
+from repro.core.engine import Component, SimEngine
 from repro.core.runahead import get_policy
 from repro.workloads.catalog import get_workload
 
@@ -54,27 +54,17 @@ class TestFacade:
             core.commit_unit, core.runahead_ctl, core.backend,
             core.frontend_stage)
 
-    def test_delegating_properties(self):
+    def test_clock_and_mode_delegate(self):
+        """The facade keeps only ``cycle`` and ``mode``; setting the mode
+        goes through ``set_mode`` so the quiescence flags follow it."""
         core = make_core()
         core.cycle = 41
         assert core.engine.cycle == 41
         core.mode = Mode.FLUSH_STALL
         assert core.runahead_ctl.mode is Mode.FLUSH_STALL
+        assert core.frontend_stage.quiesced
         core.mode = Mode.NORMAL
-        core.fetch_idx = 12
-        assert core.frontend_stage.fetch_idx == 12
-        core.next_dispatch_idx = 9
-        assert core.backend.next_dispatch_idx == 9
-        assert core.inflight is core.backend.inflight
-        assert core._events is core.engine._events
-
-    def test_legacy_methods_delegate(self):
-        core = make_core()
-        core._step()
-        assert core.cycle == 0  # _step does not advance the clock itself
-        core._schedule(5, EV_WB, None)
-        assert core._events[0][0] == 5
-        assert callable(core._fast_forward)
+        assert not core.frontend_stage.quiesced
 
     def test_snapshot_covers_every_component(self):
         core = make_core("RAR")

@@ -8,6 +8,7 @@ from repro.isa.uop import DynUop, StaticUop
 
 from tests.core.issue_harness import fill_mshrs, make_backend
 from tests.core.issue_harness import dyn as dyn_cls
+from tests.core.window_harness import dispatch, make_core
 
 
 def dyn(seq, pending=0):
@@ -25,27 +26,27 @@ class TestInsertSelect:
         be = make_backend(width=1)
         u = dyn(1)
         be.iq.insert(u)
-        assert be.iq.ready_count == 1
+        assert be.iq._nready == 1
         assert be._do_issue(0) == 1
         assert issued_seqs(be) == [1] and u.issue_cycle == 0
-        assert be.iq.ready_count == 0
+        assert be.iq._nready == 0
 
     def test_waiting_until_wakeup(self):
         iq = IssueQueue(size=4)
         u = dyn(1, pending=2)
         iq.insert(u)
-        assert iq.ready_count == 0
+        assert iq._nready == 0
         u.pending -= 1
         iq.wakeup(u)
-        assert iq.ready_count == 0  # still one producer outstanding
+        assert iq._nready == 0  # still one producer outstanding
         u.pending -= 1
         iq.wakeup(u)
-        assert iq.ready_count == 1
+        assert iq._nready == 1
 
     def test_wakeup_of_unknown_uop_is_noop(self):
         iq = IssueQueue(size=4)
         iq.wakeup(dyn(9))
-        assert iq.ready_count == 0
+        assert iq._nready == 0
 
     def test_requeue_preserves_front(self):
         """A load the MSHRs turned away goes back to the front of the
@@ -59,7 +60,7 @@ class TestInsertSelect:
         be.iq.insert(b)
         assert be._do_issue(5) == 1
         assert issued_seqs(be) == [1]
-        assert be.iq.ready_count == 1
+        assert be.iq._nready == 1
 
     def test_oldest_ready_issues_first_across_classes(self):
         be = make_backend(width=2)
@@ -79,24 +80,30 @@ class TestInsertSelect:
             be.iq.insert(u)
         assert be._do_issue(0) == 2  # one divider: the second div waits
         assert issued_seqs(be) == [1, 3]
-        assert be.iq.ready_count == 1
+        assert be.iq._nready == 1
 
 
 class TestOccupancy:
+    """Dispatch admits a uop only while the IQ has a free entry."""
+
     def test_full_counts_waiting_ready_and_runahead(self):
-        iq = IssueQueue(size=3)
-        iq.insert(dyn(1))
-        iq.insert(dyn(2, pending=1))
+        core = make_core([UopClass.INT_ADD] * 3, deps={1: (0,)}, iq_size=3)
+        iq = core.iq
         iq.runahead_used = 1
-        assert iq.full
-        assert iq.free == 0
+        assert dispatch(core) == 2  # one ready, one waiting: full
+        assert iq._nready == 1 and len(iq._waiting) == 1
+        assert len(iq) == iq.size
+        assert len(core.frontend) == 1
         with pytest.raises(OverflowError):
-            iq.insert(dyn(3))
+            iq.insert(dyn(9))
 
     def test_free(self):
-        iq = IssueQueue(size=5)
-        iq.insert(dyn(1))
-        assert iq.free == 4
+        """A NOP takes no IQ entry, so it passes a full IQ."""
+        core = make_core([UopClass.INT_ADD, UopClass.NOP, UopClass.INT_ADD],
+                         iq_size=1)
+        assert dispatch(core) == 2
+        assert len(core.iq) == 1
+        assert [u.static.idx for u in core.rob] == [0, 1]
 
 
 class TestSquash:

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.common.enums import UopClass
-from repro.core.lsq import LoadStoreQueues
 from repro.core.regfile import RegisterFiles
 from repro.isa.uop import DynUop, StaticUop
+
+from tests.core.window_harness import arrival, dispatch, make_core
 
 
 def dyn(cls, seq=1):
@@ -13,40 +14,48 @@ def dyn(cls, seq=1):
 
 
 class TestLsq:
+    """Dispatch claims LQ/SQ entries; commit and squash release them."""
+
     def test_load_allocation(self):
-        lsq = LoadStoreQueues(2, 2)
-        u = dyn(UopClass.LOAD)
-        lsq.allocate(u)
-        assert lsq.lq_used == 1 and u.in_lq
-        lsq.release(u)
-        assert lsq.lq_used == 0 and not u.in_lq
+        core = make_core([UopClass.LOAD])
+        assert dispatch(core) == 1
+        u = core.rob.head
+        assert core.lsq.lq_used == 1 and u.in_lq
+        core.lsq.release(u)
+        assert core.lsq.lq_used == 0 and not u.in_lq
 
     def test_store_allocation(self):
-        lsq = LoadStoreQueues(2, 1)
-        u = dyn(UopClass.STORE)
-        lsq.allocate(u)
-        assert lsq.sq_used == 1 and u.in_sq
-        assert lsq.sq_full
-        assert not lsq.can_allocate(dyn(UopClass.STORE, 2))
-        assert lsq.can_allocate(dyn(UopClass.LOAD, 3))
+        """A full SQ stalls the next store but not the load ahead of it."""
+        core = make_core([UopClass.STORE, UopClass.LOAD, UopClass.STORE],
+                         sq_size=1)
+        assert dispatch(core) == 2
+        store, load = core.rob
+        assert store.in_sq and load.in_lq
+        assert (core.lsq.sq_used, core.lsq.lq_used) == (1, 1)
+        assert len(core.frontend) == 1  # the second store waits
 
     def test_non_mem_always_allocatable(self):
-        lsq = LoadStoreQueues(0, 0)
-        u = dyn(UopClass.INT_ADD)
-        assert lsq.can_allocate(u)
-        lsq.allocate(u)  # no-op
-        lsq.release(u)   # no-op
+        core = make_core([UopClass.INT_ADD, UopClass.INT_MUL])
+        lsq = core.lsq
+        lsq.lq_used, lsq.sq_used = lsq.lq_size, lsq.sq_size
+        assert dispatch(core) == 2
+        u = core.rob.head
+        assert not (u.in_lq or u.in_sq)
+        lsq.release(u)  # no-op
+        assert (lsq.lq_used, lsq.sq_used) == (lsq.lq_size, lsq.sq_size)
 
     def test_overflow(self):
-        lsq = LoadStoreQueues(1, 1)
-        lsq.allocate(dyn(UopClass.LOAD, 1))
-        with pytest.raises(OverflowError):
-            lsq.allocate(dyn(UopClass.LOAD, 2))
+        """A full LQ stalls dispatch, which is not a rename stall."""
+        core = make_core([UopClass.LOAD, UopClass.LOAD], lq_size=1)
+        assert dispatch(core) == 1
+        assert core.lsq.lq_used == 1
+        assert len(core.frontend) == 1
+        assert core.backend._regstall_cycle < 0
 
     def test_double_release_detected(self):
-        lsq = LoadStoreQueues(1, 1)
-        u = dyn(UopClass.LOAD)
-        lsq.allocate(u)
+        core = make_core([UopClass.LOAD])
+        dispatch(core)
+        lsq, u = core.lsq, core.rob.head
         lsq.release(u)
         u.in_lq = True  # corrupt deliberately
         with pytest.raises(RuntimeError):
@@ -55,10 +64,10 @@ class TestLsq:
     def test_double_release_with_cleared_flags_raises(self):
         """A second release used to silently no-op (flags already
         cleared), masking commit+squash double-accounting."""
-        lsq = LoadStoreQueues(2, 2)
-        load, store = dyn(UopClass.LOAD), dyn(UopClass.STORE, 2)
-        for u in (load, store):
-            lsq.allocate(u)
+        core = make_core([UopClass.LOAD, UopClass.STORE])
+        dispatch(core)
+        lsq = core.lsq
+        for u in list(core.rob):
             lsq.release(u)
             with pytest.raises(RuntimeError, match="double release"):
                 lsq.release(u)
@@ -72,34 +81,32 @@ class TestRegFiles:
         assert r.fp_free == 136
 
     def test_int_alloc_release(self):
-        r = RegisterFiles(40, 40, arch_regs=32)
-        u = dyn(UopClass.LOAD)
-        r.allocate(u)
+        core = make_core([UopClass.LOAD], int_regs=40, fp_regs=40)
+        r = core.regs
+        dispatch(core)
         assert r.int_free == 7
-        r.release(u)
+        r.release(core.rob.head)
         assert r.int_free == 8
 
     def test_fp_alloc(self):
-        r = RegisterFiles(40, 40, arch_regs=32)
-        u = dyn(UopClass.FP_MUL)
-        r.allocate(u)
-        assert r.fp_free == 7
-        assert r.int_free == 8
+        core = make_core([UopClass.FP_MUL], int_regs=40, fp_regs=40)
+        dispatch(core)
+        assert core.regs.fp_free == 7
+        assert core.regs.int_free == 8
 
     def test_no_dest_no_alloc(self):
-        r = RegisterFiles(40, 40, arch_regs=32)
-        for cls in (UopClass.STORE, UopClass.BRANCH, UopClass.NOP,
-                    UopClass.INT_CMP):
-            r.allocate(dyn(cls))
-        assert r.int_free == 8 and r.fp_free == 8
+        core = make_core([UopClass.STORE, UopClass.NOP, UopClass.INT_CMP,
+                          UopClass.BRANCH], int_regs=40, fp_regs=40)
+        assert dispatch(core) == 4
+        assert core.regs.int_free == 8 and core.regs.fp_free == 8
 
     def test_exhaustion(self):
-        r = RegisterFiles(34, 34, arch_regs=32)
-        r.allocate(dyn(UopClass.INT_ADD, 1))
-        r.allocate(dyn(UopClass.INT_ADD, 2))
-        assert not r.can_allocate(dyn(UopClass.INT_ADD, 3))
-        with pytest.raises(OverflowError):
-            r.allocate(dyn(UopClass.INT_ADD, 3))
+        """An empty free pool stalls dispatch and marks a rename stall."""
+        core = make_core([UopClass.INT_ADD] * 3, int_regs=34, fp_regs=34)
+        assert dispatch(core) == 2
+        assert core.regs.int_free == 0
+        assert len(core.frontend) == 1
+        assert core.backend._regstall_cycle == arrival(core)
 
     def test_overfree_detected(self):
         r = RegisterFiles(40, 40, arch_regs=32)

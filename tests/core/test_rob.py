@@ -1,10 +1,10 @@
 """Reorder buffer and the RAR head countdown timer."""
 
-import pytest
-
 from repro.common.enums import UopClass
 from repro.core.rob import ReorderBuffer
 from repro.isa.uop import DynUop, StaticUop
+
+from tests.core.window_harness import arrival, dispatch, make_core
 
 
 def dyn(seq, idx=None):
@@ -13,38 +13,44 @@ def dyn(seq, idx=None):
                   cls=int(UopClass.INT_ADD)), seq=seq)
 
 
+def fill(rob, uops):
+    """Append ``uops`` at the tail, as dispatch does."""
+    rob._q.extend(uops)
+
+
 class TestFifo:
+    """Dispatch appends in program order; commit retires the head."""
+
     def test_push_pop_order(self):
-        rob = ReorderBuffer(size=4)
-        uops = [dyn(i) for i in range(3)]
-        for u in uops:
-            rob.push(u)
+        core = make_core([UopClass.INT_ADD] * 3)
+        dispatch(core)
+        rob = core.rob
+        uops = list(rob)
         assert rob.head is uops[0]
-        assert rob.pop_head() is uops[0]
+        c = arrival(core) + 1
+        uops[0].completed = True
+        uops[0].done_cycle = c
+        assert core.commit_unit.step(c) == 1
         assert rob.head is uops[1]
 
     def test_full(self):
-        rob = ReorderBuffer(size=2)
-        rob.push(dyn(1))
-        rob.push(dyn(2))
-        assert rob.full
-        with pytest.raises(OverflowError):
-            rob.push(dyn(3))
+        core = make_core([UopClass.INT_ADD] * 3, rob_size=2)
+        assert dispatch(core) == 2
+        assert core.rob.full
+        assert len(core.frontend) == 1  # the third uop waits
 
     def test_len_and_iter(self):
-        rob = ReorderBuffer(size=8)
-        for i in range(5):
-            rob.push(dyn(i))
-        assert len(rob) == 5
-        assert [u.seq for u in rob] == [0, 1, 2, 3, 4]
+        core = make_core([UopClass.INT_ADD] * 4)
+        dispatch(core)
+        assert len(core.rob) == 4
+        assert [u.static.idx for u in core.rob] == [0, 1, 2, 3]
 
 
 class TestSquash:
     def test_squash_younger(self):
         rob = ReorderBuffer(size=8)
         uops = [dyn(i) for i in range(6)]
-        for u in uops:
-            rob.push(u)
+        fill(rob, uops)
         squashed = rob.squash_younger(2)
         assert [u.seq for u in squashed] == [3, 4, 5]
         assert len(rob) == 3
@@ -52,13 +58,12 @@ class TestSquash:
 
     def test_squash_younger_none_match(self):
         rob = ReorderBuffer(size=8)
-        rob.push(dyn(1))
+        fill(rob, [dyn(1)])
         assert rob.squash_younger(5) == []
 
     def test_squash_all(self):
         rob = ReorderBuffer(size=8)
-        for i in range(4):
-            rob.push(dyn(i))
+        fill(rob, [dyn(i) for i in range(4)])
         squashed = rob.squash_all()
         assert len(squashed) == 4
         assert len(rob) == 0
@@ -68,7 +73,7 @@ class TestSquash:
 class TestHeadTimer:
     def test_counts_down_while_same_head(self):
         rob = ReorderBuffer(size=8, timer_init=15)
-        rob.push(dyn(1))
+        fill(rob, [dyn(1)])
         rob.advance_timer(1)  # reset cycle for the new head
         assert not rob.head_timer_expired
         for _ in range(14):
@@ -80,12 +85,11 @@ class TestHeadTimer:
     def test_resets_on_new_head(self):
         rob = ReorderBuffer(size=8, timer_init=15)
         a, b = dyn(1), dyn(2)
-        rob.push(a)
-        rob.push(b)
+        fill(rob, [a, b])
         for _ in range(20):
             rob.advance_timer(1)
         assert rob.head_timer_expired
-        rob.pop_head()
+        rob._q.popleft()  # commit retires the head
         rob.advance_timer(1)
         assert not rob.head_timer_expired
         assert rob.timer_remaining == 15
@@ -93,8 +97,8 @@ class TestHeadTimer:
     def test_bulk_advance_equivalent_to_steps(self):
         a = ReorderBuffer(size=8, timer_init=15)
         b = ReorderBuffer(size=8, timer_init=15)
-        a.push(dyn(1))
-        b.push(dyn(1, idx=1))
+        fill(a, [dyn(1)])
+        fill(b, [dyn(1, idx=1)])
         for _ in range(9):
             a.advance_timer(1)
         b.advance_timer(9)

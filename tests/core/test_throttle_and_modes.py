@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.enums import Mode
 from repro.common.params import BASELINE
-from repro.core.core import OutOfOrderCore
 from repro.core.runahead import (
     ALL_POLICIES,
     EXTENSION_POLICIES,
@@ -14,14 +13,13 @@ from repro.core.runahead import (
     THROTTLE,
     get_policy,
 )
-from repro.workloads.catalog import get_workload
+from repro.sim import build_core
+
+from tests.core.probe import run_until
 
 
 def run_core(workload, policy, instructions=2500):
-    spec = get_workload(workload)
-    core = OutOfOrderCore(BASELINE, spec.build_trace(), policy)
-    for level, base, size in spec.resident_regions():
-        core.mem.preload(base, size, level)
+    core, _ = build_core(workload, BASELINE, policy)
     core.run(instructions)
     return core
 
@@ -57,74 +55,51 @@ class TestThrottle:
 
 class TestFlushStallMode:
     def test_enters_and_leaves(self):
-        spec = get_workload("libquantum")
-        core = OutOfOrderCore(BASELINE, spec.build_trace(), FLUSH)
-        for level, base, size in spec.resident_regions():
-            core.mem.preload(base, size, level)
+        core, _ = build_core("libquantum", BASELINE, FLUSH)
         modes = set()
-        while core.stats.committed < 2500:
-            if core._step():
-                core.cycle += 1
-            else:
-                core._fast_forward()
-            modes.add(core.mode)
+
+        def watch(c):
+            modes.add(c.mode)
+            return False
+
+        run_until(core, watch, 2500)
         assert Mode.FLUSH_STALL in modes
         assert Mode.RUNAHEAD not in modes
 
     def test_fetch_gated_during_stall(self):
-        spec = get_workload("libquantum")
-        core = OutOfOrderCore(BASELINE, spec.build_trace(), FLUSH)
-        for level, base, size in spec.resident_regions():
-            core.mem.preload(base, size, level)
-        while core.stats.committed < 2500:
-            if core._step():
-                core.cycle += 1
-            else:
-                core._fast_forward()
-            if core.mode == Mode.FLUSH_STALL:
-                assert not core.frontend.can_fetch(core.cycle)
-                assert len(core.rob) <= 1  # only the blocking load remains
-                break
-        else:
+        core, _ = build_core("libquantum", BASELINE, FLUSH)
+        if not run_until(core, lambda c: c.mode == Mode.FLUSH_STALL, 2500):
             pytest.skip("no flush-stall observed in budget")
+        assert core.frontend_stage.quiesced
+        assert core.cycle < core.frontend.resume_cycle
+        assert len(core.rob) <= 1  # only the blocking load remains
 
 
 class TestRunaheadInternals:
     def test_inv_set_contains_blocking(self):
-        spec = get_workload("mcf")
-        core = OutOfOrderCore(BASELINE, spec.build_trace(), RAR)
-        for level, base, size in spec.resident_regions():
-            core.mem.preload(base, size, level)
-        while core.stats.committed < 3000:
-            if core._step():
-                core.cycle += 1
-            else:
-                core._fast_forward()
-            if core.mode == Mode.RUNAHEAD:
-                assert core.blocking is not None
-                assert core.blocking.static.idx in core._ra_inv
-                break
-        else:
+        core, _ = build_core("mcf", BASELINE, RAR)
+        if not run_until(core, lambda c: c.mode == Mode.RUNAHEAD, 3000):
             pytest.skip("no runahead interval observed")
+        ra = core.runahead_ctl
+        assert ra.blocking is not None
+        assert ra.blocking.static.idx in ra._ra_inv
 
     def test_predictor_history_restored_after_interval(self):
-        spec = get_workload("libquantum")
-        core = OutOfOrderCore(BASELINE, spec.build_trace(), RAR)
-        for level, base, size in spec.resident_regions():
-            core.mem.preload(base, size, level)
-        ckpt = None
-        while core.stats.committed < 3000:
-            was_runahead = core.mode == Mode.RUNAHEAD
-            if core._step():
-                core.cycle += 1
-            else:
-                core._fast_forward()
-            if core.mode == Mode.RUNAHEAD and ckpt is None:
-                ckpt = core._ra_hist_ckpt
-            if was_runahead and core.mode == Mode.NORMAL and ckpt is not None:
-                assert core.predictor.hist == ckpt
-                return
-        pytest.skip("no complete interval observed")
+        core, _ = build_core("libquantum", BASELINE, RAR)
+        ra = core.runahead_ctl
+        seen = {"mode": core.mode, "ckpt": None}
+
+        def interval_closed(c):
+            was_runahead = seen["mode"] == Mode.RUNAHEAD
+            seen["mode"] = c.mode
+            if c.mode == Mode.RUNAHEAD and seen["ckpt"] is None:
+                seen["ckpt"] = ra._ra_hist_ckpt
+            return (was_runahead and c.mode == Mode.NORMAL
+                    and seen["ckpt"] is not None)
+
+        if not run_until(core, interval_closed, 3000):
+            pytest.skip("no complete interval observed")
+        assert core.predictor.hist == seen["ckpt"]
 
     def test_runahead_examines_future_instructions(self):
         core = run_core("libquantum", RAR)

@@ -1,65 +1,69 @@
 """Front-end pipe timing and wrong-path synthesis."""
 
 from repro.common.enums import UopClass
-from repro.frontend.fetch import FrontEnd, WrongPathSource
-from repro.isa.uop import DynUop, StaticUop
+from repro.frontend.fetch import WrongPathSource
+
+from tests.core.window_harness import dispatch, make_core
 
 
-def dyn(i=0):
-    return DynUop(StaticUop(idx=i, pc=0x400000, cls=int(UopClass.INT_ADD)),
-                  seq=i + 1)
+def fetched_core(n=1):
+    """A core over ``n`` ALU uops (front-end depth 8, width 4)."""
+    return make_core([UopClass.INT_ADD] * n)
 
 
 class TestFrontEnd:
+    """Fetch fills the pipe; a uop leaves it for dispatch ``depth``
+    cycles after it was fetched."""
+
     def test_depth_latency(self):
-        fe = FrontEnd(width=4, depth=8)
-        u = dyn()
-        fe.push(u, cycle=10)
-        assert fe.peek_ready(17) is None
-        assert fe.peek_ready(18) is u
+        core = fetched_core()
+        assert core.frontend_stage.step(10) == 1
+        assert core.backend._do_dispatch(17) == 0
+        assert core.backend._do_dispatch(18) == 1
+        assert core.rob.head.dispatch_cycle == 18
 
     def test_capacity(self):
-        fe = FrontEnd(width=4, depth=2, capacity=3)
-        for i in range(3):
-            assert fe.can_fetch(0)
-            fe.push(dyn(i), 0)
+        core = fetched_core(8)
+        fe = core.frontend
+        fe.capacity = 3
+        assert core.frontend_stage.step(0) == 3
         assert fe.full
-        assert not fe.can_fetch(0)
+        assert core.frontend_stage.step(1) == 0
 
     def test_fifo_order(self):
-        fe = FrontEnd(width=4, depth=1)
-        a, b = dyn(0), dyn(1)
-        fe.push(a, 0)
-        fe.push(b, 0)
-        assert fe.pop() is a
-        assert fe.pop() is b
+        core = fetched_core(2)
+        dispatch(core)
+        a, b = core.rob
+        assert (a.static.idx, b.static.idx) == (0, 1)
+        assert a.seq < b.seq
 
     def test_redirect_clears_and_gates(self):
-        fe = FrontEnd(width=4, depth=8)
-        fe.push(dyn(), 0)
+        core = fetched_core(8)
+        fe = core.frontend
+        core.frontend_stage.step(0)
         fe.redirect(100)
         assert len(fe) == 0
-        assert not fe.can_fetch(107)
-        assert fe.can_fetch(108)
+        assert core.frontend_stage.step(107) == 0
+        assert core.frontend_stage.step(108) > 0
 
     def test_redirect_overrides_previous_gate(self):
-        fe = FrontEnd(width=4, depth=8)
+        core = fetched_core()
+        fe = core.frontend
         fe.redirect(0, penalty=1 << 60)  # parked
         fe.redirect(50)  # re-steer must reopen
-        assert fe.can_fetch(58)
+        assert core.frontend_stage.step(58) == 1
 
     def test_next_arrival(self):
-        fe = FrontEnd(width=4, depth=8)
+        core = fetched_core()
+        fe = core.frontend
         assert fe.next_arrival() is None
-        fe.push(dyn(), 5)
+        core.frontend_stage.step(5)
         assert fe.next_arrival() == 13
 
     def test_iteration(self):
-        fe = FrontEnd(width=4, depth=1)
-        uops = [dyn(i) for i in range(3)]
-        for u in uops:
-            fe.push(u, 0)
-        assert list(fe) == uops
+        core = fetched_core(3)
+        core.frontend_stage.step(0)
+        assert [u.static.idx for u in core.frontend] == [0, 1, 2]
 
 
 class TestWrongPathSource:

@@ -128,12 +128,19 @@ class TestTrace:
 
 
 class TestDisabledTelemetryIsInert:
-    def test_results_identical_with_and_without(self):
-        plain = simulate("x264", BASELINE, RAR, instructions=600, warmup=300)
+    @pytest.mark.parametrize("validate", [False, True])
+    @pytest.mark.parametrize("policy", ["OOO", "FLUSH", "PRE", "RAR"])
+    def test_results_identical_with_and_without(self, policy, validate):
+        """Attaching telemetry changes nothing, with or without the
+        sanitizer, under every mechanism (each fires on mcf here)."""
+        plain = simulate("mcf", BASELINE, policy, instructions=600,
+                         warmup=300, validate=validate)
         tele = Telemetry(interval=100, trace=True)
-        traced = simulate("x264", BASELINE, RAR, instructions=600,
-                          warmup=300, telemetry=tele)
+        traced = simulate("mcf", BASELINE, policy, instructions=600,
+                          warmup=300, telemetry=tele, validate=validate)
         assert plain == traced
+        assert (plain.runahead_triggers + plain.flush_triggers > 0) \
+            == (policy != "OOO")
 
     def test_core_without_telemetry_has_registry(self):
         from repro.core.core import OutOfOrderCore

@@ -65,16 +65,16 @@ class TestHierarchyEdges:
 
 class TestRobTick:
     def test_tick_timer_is_single_cycle_advance(self):
-        from repro.core.rob import ReorderBuffer
-        from repro.isa.uop import DynUop
-        rob = ReorderBuffer(size=4, timer_init=3)
-        rob.push(DynUop(StaticUop(idx=0, pc=0, cls=1), seq=1))
-        rob.tick_timer()
-        rob.tick_timer()
-        rob.tick_timer()
-        assert not rob.head_timer_expired
-        rob.tick_timer()
-        assert rob.head_timer_expired
+        """Each commit step ticks the head timer by one cycle."""
+        from tests.core.window_harness import arrival, dispatch, make_core
+        core = make_core([UopClass.INT_ADD], head_timer_init=3)
+        dispatch(core)
+        c = arrival(core)
+        for c in range(c, c + 3):
+            core.commit_unit.step(c)
+        assert not core.rob.head_timer_expired
+        core.commit_unit.step(c + 1)
+        assert core.rob.head_timer_expired
 
 
 class TestSimResultEdges:

@@ -1,8 +1,6 @@
 """Trace-backed workloads: ``trace:<path>`` resolution, streaming
 replay, end-of-stream drain under the oracle, and checkpoint warming."""
 
-import os
-
 import pytest
 
 from repro.common.params import BASELINE
