@@ -622,16 +622,45 @@ class ExperimentRunner:
     # ---------------------------------------------------------- disk cache
 
     def _read_disk_payloads(self) -> Dict[str, Any]:
-        """The on-disk cache's raw ``key -> payload`` map (or empty)."""
+        """The on-disk cache's raw ``key -> payload`` map (or empty).
+
+        A file that cannot be read or parsed, or that carries another
+        schema, is renamed aside to ``<path>.bad-<n>`` before anything
+        else is written: the read-merge-write in :meth:`_save_disk_cache`
+        would otherwise replace it, losing every entry it held.
+        """
         try:
             with open(self.cache_path) as f:
                 raw = json.load(f)
-        except (OSError, ValueError):
+        except FileNotFoundError:
+            return {}
+        except (OSError, ValueError) as e:
+            self._set_aside_bad_cache(f"unreadable ({e})")
             return {}
         if not isinstance(raw, dict) or raw.get("schema") != _CACHE_SCHEMA:
-            return {}  # stale/legacy cache: recompute everything
+            self._set_aside_bad_cache(
+                f"not a result cache of schema {_CACHE_SCHEMA}")
+            return {}
         data = raw.get("data", {})
-        return data if isinstance(data, dict) else {}
+        if not isinstance(data, dict):
+            self._set_aside_bad_cache("without a key -> result map")
+            return {}
+        return data
+
+    def _set_aside_bad_cache(self, why: str) -> None:
+        """Rename the cache file to the first free ``<path>.bad-<n>``."""
+        path = self.cache_path
+        n = 0
+        while os.path.exists(f"{path}.bad-{n}"):
+            n += 1
+        bad = f"{path}.bad-{n}"
+        try:
+            os.rename(path, bad)
+            outcome = f"moved it to {bad} and started an empty cache"
+        except OSError as e:
+            outcome = f"could not move it to {bad}: {e}"
+        _log.warning(f"result cache {path} is {why}; {outcome}",
+                     extra={"data": {"path": path, "bad_path": bad}})
 
     def _load_disk_cache(self) -> None:
         for key, payload in self._read_disk_payloads().items():

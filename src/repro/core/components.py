@@ -97,32 +97,41 @@ class FrontEndStage(Component):
         if c < frontend.resume_cycle:
             return 0
         # Neither the fetch gate nor the pipe capacity can change while
-        # fetching: the gate is checked once, the capacity read once.
+        # fetching, so the slot count is fixed up front. The correct path
+        # fills slots until the trace ends or a mispredicted branch is
+        # fetched; the wrong path then fills the rest.
         pipe = frontend._pipe
-        cap = frontend.capacity
+        slots = frontend.capacity - len(pipe)
+        if slots > self.width:
+            slots = self.width
         arrival = c + frontend.depth
-        width = self.width
-        trace = self.trace
         seq = self._seq
+        pending = self.pending_branch
         n = 0
-        while n < width and len(pipe) < cap:
-            if self.pending_branch is not None:
-                st = self.wrong_path_src.next_uop(self.fetch_idx)
-                seq += 1
-                u = DynUop(st, seq, True)
-            else:
-                st = trace.get(self.fetch_idx)
+        if pending is None:
+            get = self.trace.get
+            idx = self.fetch_idx
+            while n < slots:
+                st = get(idx)
                 if st is None:
                     break
                 seq += 1
                 u = DynUop(st, seq)
+                idx += 1
+                pipe.append((u, arrival))
+                n += 1
                 if st.cls == _BRANCH:
                     u.predicted_taken = predicted = self.train_branch(st)
                     if predicted != st.taken:
-                        self.pending_branch = u
-                self.fetch_idx += 1
-            pipe.append((u, arrival))
-            n += 1
+                        self.pending_branch = pending = u
+                        break
+            self.fetch_idx = idx
+        if pending is not None and n < slots:
+            next_uop = self.wrong_path_src.next_uop
+            while n < slots:
+                seq += 1
+                pipe.append((DynUop(next_uop(), seq, True), arrival))
+                n += 1
         self._seq = seq
         return n
 
@@ -288,12 +297,26 @@ class WindowBackEnd(Component):
             return
         uop.completed = True
         uop.done_cycle = when
-        if uop.consumers:
+        consumers = uop.consumers
+        if consumers:
+            # Wake each consumer; one with no pending producer left moves
+            # from the waiting set onto its class's ready FIFO, stamped in
+            # wakeup order (as ``IssueQueue.insert`` does at dispatch).
             iq = self.iq
-            for consumer in uop.consumers:
-                consumer.pending -= 1
-                iq.wakeup(consumer)
-            uop.consumers = []
+            waiting = iq._waiting
+            ready = iq._ready
+            for consumer in consumers:
+                pending = consumer.pending - 1
+                consumer.pending = pending
+                if not pending and consumer in waiting:
+                    waiting.remove(consumer)
+                    consumer.ready_ord = iq._next_ord
+                    iq._next_ord += 1
+                    fc = consumer.static.fu_cls
+                    ready[fc].append(consumer)
+                    iq._nonempty |= 1 << fc
+                    iq._nready += 1
+            uop.consumers = ()
             self.quiesced = False
         st = uop.static
         if st.cls == _LOAD and uop.mem_level == "dram" and not uop.wrong_path:
@@ -344,10 +367,8 @@ class WindowBackEnd(Component):
         inflight = self.inflight
         lsq = self.lsq
         regs = self.regs
-        cause = int(cause)
         for u in uops:
             u.squashed = True
-            u.squash_cause = cause
             st = u.static
             if st.is_mem:
                 lsq.release(u)
@@ -376,6 +397,10 @@ class WindowBackEnd(Component):
         # reached each one unless the load FU was busy from the start or
         # the width ran out at an older uop. Pick order, FU use and the
         # mem.access sequence are unchanged ⇒ bit-identical results.
+        #
+        # Pipelined FU classes are checked and reserved on the pool's
+        # (stamp, used) scoreboard directly; non-pipelined ones (the
+        # dividers) go through ``FuPool.can_issue``/``issue``.
         iq = self.iq
         if iq._nready == 0:
             return 0
@@ -391,6 +416,11 @@ class WindowBackEnd(Component):
                 parked.clear()
             elif fus.can_issue(_LOAD, c):
                 nparked = len(parked)
+        pipelined = fus._pipelined
+        stamp = fus._stamp
+        used = fus._used
+        fu_count = fus._count
+        fu_latency = fus._latency
         issued = 0
         width = self.width
         schedule = self.engine.schedule
@@ -411,7 +441,12 @@ class WindowBackEnd(Component):
                 break
             st = u.static
             cls = st.cls
-            if not fus.can_issue(cls, c):
+            # The ready FIFO a uop waits in is its FU class: u_cls.
+            if pipelined[u_cls]:
+                if stamp[u_cls] == c and used[u_cls] >= fu_count[u_cls]:
+                    blocked_fu |= 1 << u_cls
+                    continue
+            elif not fus.can_issue(cls, c):
                 blocked_fu |= 1 << u_cls
                 continue
             dq = ready[u_cls]
@@ -424,23 +459,28 @@ class WindowBackEnd(Component):
                     parked.append(u)
                     iq.parked_until = mem._mshr_min
                     continue
-                fus.issue(cls, c)  # AGU slot
-                done = result.done_cycle
-                u.mem_level = result.level
-                u.mem_issue_cycle = c
-                if result.level == "dram":
+            # Reserve the FU slot (a load's or store's is its AGU slot).
+            if pipelined[u_cls]:
+                if stamp[u_cls] == c:
+                    used[u_cls] += 1
+                else:
+                    stamp[u_cls] = c
+                    used[u_cls] = 1
+                done = c + fu_latency[u_cls]
+            else:
+                done = fus.issue(cls, c)
+            if cls == _LOAD:
+                done, level, merged = result
+                u.mem_level = level
+                if level == "dram":
                     u.llc_miss = True
                     # MLP counts useful (correct-path) outstanding misses;
                     # wrong-path misses still consume MSHRs and bandwidth.
-                    if not result.merged and not u.wrong_path:
+                    if not merged and not u.wrong_path:
                         u.counted_miss = True
                         self._out_misses += 1
             elif cls == _STORE:
-                fus.issue(cls, c)
-                u.mem_issue_cycle = c
                 done = c + 1  # address/data capture; write happens at commit
-            else:
-                done = fus.issue(cls, c)
             iq._nready -= 1
             u.issue_cycle = c
             schedule(done, EV_WB, u)
@@ -532,7 +572,11 @@ class WindowBackEnd(Component):
                     if producer is not None and not producer.completed \
                             and not producer.squashed:
                         pending += 1
-                        producer.consumers.append(u)
+                        consumers = producer.consumers
+                        if consumers:
+                            consumers.append(u)
+                        else:
+                            producer.consumers = [u]
                 if pending:
                     u.pending = pending
                     iq._waiting.add(u)
@@ -601,6 +645,9 @@ class RunaheadController(Component):
         self.fe = core.frontend_stage
         self.backend = core.backend
         self._est_latency = core._est_latency
+        # OOO acts on no trigger; THROTTLE acts in dispatch, not through
+        # a mode change.
+        self._triggers = core.policy.kind not in ("ooo", "throttle")
 
     def set_mode(self, mode: Mode) -> None:
         """Central mode switch: keeps the quiescence flags of the gated
@@ -616,10 +663,28 @@ class RunaheadController(Component):
             self.backend.quiesced = True
 
     def step(self, c: int) -> int:
-        self.update_windows(c)
+        # One test per cycle of what head_blocked_by_miss() returns.
+        q = self.rob._q
+        head = q[0] if q else None
+        if head is not None and not (
+                head.llc_miss and not head.completed
+                and not head.wrong_path and head.static.cls == _LOAD):
+            head = None
+        if head is None:
+            # Common case: nothing blocked, close any open Figure 5
+            # windows; no trigger can fire.
+            ace = self.ace
+            if ace.head_blocked._open_start >= 0:
+                ace.head_blocked.close(c)
+            if ace.full_stall._open_start >= 0:
+                ace.full_stall.close(c)
+        else:
+            self.update_windows(head, c)
         mode = self.mode
         if mode == Mode.NORMAL:
-            return self.check_triggers(c)
+            if head is None or not self._triggers:
+                return 0
+            return self.check_triggers(head, c)
         if mode == Mode.FLUSH_STALL:
             blocking = self.blocking
             if blocking is not None and blocking.completed:
@@ -656,63 +721,46 @@ class RunaheadController(Component):
 
     # ============================================== attribution windows
 
-    def update_windows(self, c: int) -> None:
-        """Maintain the Figure 5 attribution windows."""
-        q = self.rob._q
-        head = q[0] if q else None
+    def update_windows(self, head: DynUop, c: int) -> None:
+        """Maintain the Figure 5 attribution windows while ``head``, an
+        LLC-missing load, blocks the ROB head."""
         ace = self.ace
-        blocked = (
-            head is not None
-            and head.llc_miss
-            and not head.completed
-            and head.static.cls == _LOAD
-            and not head.wrong_path
-        )
-        if not blocked:
-            # Common case first: nothing blocked, close any open windows.
-            if ace.head_blocked._open_start >= 0:
-                ace.head_blocked.close(c)
-            if ace.full_stall._open_start >= 0:
-                ace.full_stall.close(c)
-            return
-        if ace.head_blocked.is_open and self._hb_seq != head.seq:
-            ace.head_blocked.close(c)
-        if not ace.head_blocked.is_open:
-            ace.head_blocked.open(c)
+        hb = ace.head_blocked
+        if hb._open_start >= 0 and self._hb_seq != head.seq:
+            hb.close(c)
+        if hb._open_start < 0:
+            hb.open(c)
             self._hb_seq = head.seq
-        if ace.full_stall.is_open and self._fs_seq != head.seq:
-            ace.full_stall.close(c)
+        fs = ace.full_stall
+        if fs._open_start >= 0 and self._fs_seq != head.seq:
+            fs.close(c)
         # "Full-window stall": the window cannot grow — ROB full or
         # renaming out of registers (same condition as the late
         # runahead trigger).
-        window_stalled = self.rob.full \
-            or self.backend._regstall_cycle >= c - 1
-        if not ace.full_stall.is_open and window_stalled:
-            ace.full_stall.open(c)
+        if fs._open_start < 0 and (
+                self.rob.full or self.backend._regstall_cycle >= c - 1):
+            fs.open(c)
             self._fs_seq = head.seq
 
     def head_blocked_by_miss(self) -> Optional[DynUop]:
-        head = self.rob.head
-        if (
-            head is not None
-            and head.static.cls == _LOAD
-            and not head.completed
-            and not head.wrong_path
-            and head.mem_issue_cycle >= 0
-            and head.llc_miss
-        ):
-            return head
+        """The ROB head if it is an incomplete, correct-path load that
+        missed the LLC (``llc_miss`` is only set once it has issued)."""
+        q = self.rob._q
+        if q:
+            head = q[0]
+            if head.llc_miss and not head.completed \
+                    and not head.wrong_path and head.static.cls == _LOAD:
+                return head
         return None
 
     # =========================================================== triggers
 
-    def check_triggers(self, c: int) -> int:
+    def check_triggers(self, head: DynUop, c: int) -> int:
+        """Enter FLUSH or runahead for ``head``, the LLC-missing load
+        blocking the ROB head, if the policy's trigger condition holds.
+        Only called for policies that have triggers (not OOO or
+        THROTTLE)."""
         policy = self.core.policy
-        if policy.kind in ("ooo", "throttle"):
-            return 0  # throttling acts in dispatch, not via mode changes
-        head = self.head_blocked_by_miss()
-        if head is None:
-            return 0
         if policy.kind == "flush":
             if not self.rob.head_timer_expired:
                 return 0
@@ -730,7 +778,7 @@ class RunaheadController(Component):
             if not (self.rob.full or self.backend._regstall_cycle >= c - 1):
                 return 0
             if (policy.name == "TR"
-                    and c - head.mem_issue_cycle
+                    and c - head.issue_cycle
                     >= self.machine.core.tr_recency_cycles):
                 return 0
         self.enter_runahead(head, c)
@@ -805,8 +853,12 @@ class RunaheadController(Component):
         if self._ra_diverged:
             self.stats.ra_stall_diverged += 1
             return 0
-        self.drain_ra_iq(c)
-        self.prdq.drain(c)
+        rel = self._ra_iq_releases
+        if rel and rel[0] <= c:
+            self.drain_ra_iq(c)
+        prdq_q = self.prdq._q
+        if prdq_q and prdq_q[0][0] <= c:
+            self.prdq.drain(c)
         policy = self.core.policy
         trace = self.trace
         inflight = self.backend.inflight
@@ -997,18 +1049,18 @@ class RunaheadController(Component):
             self.engine.schedule(when + backoff, EV_RA_ISSUE,
                                  (interval, st, retry + 1, until))
             return
+        done, level, merged = result
         self.stats.runahead_prefetches += 1
-        self._ra_ready[st.idx] = result.done_cycle
+        self._ra_ready[st.idx] = done
         observer = self.core.observer
         if observer:
-            observer("runahead_prefetch", when, pc=st.pc,
-                     level=result.level)
-        if result.level == "dram":
+            observer("runahead_prefetch", when, pc=st.pc, level=level)
+        if level == "dram":
             if st.cls == _LOAD and not self.sst.lookup(st.pc):
                 self.train_sst(st.idx, st.pc)
-            if not result.merged:
+            if not merged:
                 self.backend._out_misses += 1
-                self.engine.schedule(result.done_cycle, EV_RA_DONE, None)
+                self.engine.schedule(done, EV_RA_DONE, None)
 
     def exit_runahead(self, c: int) -> None:
         backend = self.backend

@@ -132,7 +132,7 @@ def functional_warmup(core, warmup: int) -> int:
             while result is None:  # MSHRs full: jump to next completion
                 cycle = max(cycle + 1, mem._mshr_min)
                 result = access(st.addr, cycle, pc=st.pc)
-            if result.level == "dram":
+            if result[1] == "dram":
                 ra.train_sst(idx, st.pc)
         elif cls == _STORE:
             # Write-allocate as commit would; an MSHR-full rejection

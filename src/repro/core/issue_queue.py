@@ -1,10 +1,11 @@
 """Issue queue with event-driven ready-list wakeup/select.
 
-Dispatch inserts uops with a pending-producer count; completion events
-decrement it (wakeup) and move zero-pending uops onto the ready lists,
-from which select pulls oldest-first each cycle. Occupancy counts both
-waiting and ready-but-unissued uops — an IQ entry is released at *issue*,
-which is also the end of its ACE-vulnerable interval.
+Dispatch inserts uops with a pending-producer count; writeback
+(``WindowBackEnd.writeback``) decrements it and moves zero-pending uops
+onto the ready lists, from which select pulls oldest-first each cycle.
+Occupancy counts both waiting and ready-but-unissued uops — an IQ entry
+is released at *issue*, which is also the end of its ACE-vulnerable
+interval.
 
 The ready set is kept as one FIFO deque *per FU class*, with a global
 monotonically increasing wakeup stamp (``DynUop.ready_ord``) assigned as
@@ -77,13 +78,6 @@ class IssueQueue:
             self._push_ready(uop)
         else:
             self._waiting.add(uop)
-
-    def wakeup(self, uop: DynUop) -> None:
-        """Producer completed: move a waiting uop with no more pending
-        producers onto its class's ready list."""
-        if uop.pending == 0 and uop in self._waiting:
-            self._waiting.discard(uop)
-            self._push_ready(uop)
 
     def squash(self) -> int:
         """Drop every queued uop flagged ``squashed``; returns the count."""

@@ -17,7 +17,10 @@ from collections import deque
 from typing import Deque, Optional, Tuple
 
 from repro.common.enums import UopClass
-from repro.isa.uop import NO_ADDR, StaticUop
+from repro.isa.uop import StaticUop
+
+#: Base PC of the synthesised wrong-path code region.
+_WRONG_PATH_PC = 0x100000
 
 
 class WrongPathSource:
@@ -51,19 +54,30 @@ class WrongPathSource:
         self._count = 0
 
     _MIX_INT = tuple(int(c) for c in _MIX)
-    _IS_MEM = tuple(c in (UopClass.LOAD, UopClass.STORE) for c in _MIX)
+    #: One shared instance per non-memory slot. A wrong-path uop is always
+    #: squashed, and nothing reads a non-memory one beyond its class
+    #: traits (it has no sources and never trains the predictor), so it
+    #: needs no per-uop identity; ``None`` marks the memory slots, whose
+    #: uops carry their own PC and address.
+    _SHARED = tuple(
+        None if c in (UopClass.LOAD, UopClass.STORE)
+        else StaticUop(-1, _WRONG_PATH_PC, int(c))
+        for c in _MIX)
 
-    def next_uop(self, after_idx: int) -> StaticUop:
+    def next_uop(self) -> StaticUop:
         """A wrong-path uop; ``idx`` is negative so it never aliases the trace."""
         self._count += 1
-        slot = self._count & 7  # len(_MIX) == 8
-        addr = NO_ADDR
-        if self._IS_MEM[slot]:
-            if self._rng.random() < self.COLD_FRACTION:
-                addr = self._cold_base + self._rng.randrange(self._cold_lines) * 64
-            else:
-                addr = self._warm_base + self._rng.randrange(self._warm_lines) * 64
-        return StaticUop(-self._count, 0x100000 + (self._count % 251) * 4,
+        count = self._count
+        slot = count & 7  # len(_MIX) == 8
+        shared = self._SHARED[slot]
+        if shared is not None:
+            return shared
+        rng = self._rng
+        if rng.random() < self.COLD_FRACTION:
+            addr = self._cold_base + rng.randrange(self._cold_lines) * 64
+        else:
+            addr = self._warm_base + rng.randrange(self._warm_lines) * 64
+        return StaticUop(-count, _WRONG_PATH_PC + (count % 251) * 4,
                          self._MIX_INT[slot], (), addr, False)
 
 

@@ -19,7 +19,9 @@ _SC_FLIP = 12
 
 class _TaggedTable:
     __slots__ = ("size", "tag_bits", "hist_len", "tags", "ctrs", "useful",
-                 "_idx_mask", "_tag_mask", "_idx_bits", "f_idx", "f_tag")
+                 "_idx_mask", "_tag_mask", "_idx_bits", "f_idx", "f_tag",
+                 "_out_bit", "_idx_top", "_tag_top", "_idx_drop",
+                 "_tag_drop")
 
     def __init__(self, size: int, tag_bits: int, hist_len: int):
         self.size = size
@@ -36,6 +38,14 @@ class _TaggedTable:
         # fold per prediction is the software-only slow path).
         self.f_idx = 0
         self.f_tag = 0
+        # Shift constants of both CSRs (see TageScL.shift_history): the
+        # bit leaving the history window, each register's top bit, and
+        # the position the outgoing bit cancels (L mod B).
+        self._out_bit = hist_len - 1
+        self._idx_top = self._idx_bits - 1
+        self._tag_top = tag_bits - 1
+        self._idx_drop = hist_len % self._idx_bits
+        self._tag_drop = hist_len % tag_bits
 
     def fold(self, hist: int, bits: int) -> int:
         h = hist & ((1 << self.hist_len) - 1)
@@ -51,22 +61,6 @@ class _TaggedTable:
 
     def tag(self, pc: int, hist: int) -> int:
         return (pc ^ self.fold(hist, self.tag_bits)) & self._tag_mask or 1
-
-    def shift_folded(self, hist: int, b: int) -> None:
-        """Advance both CSRs for appending outcome bit ``b`` to ``hist``
-        (pass the history *before* the shift: the outgoing bit is read
-        from it). Rotate-left by one, inject the new bit at position 0
-        and cancel the bit leaving the window at position ``L mod B``."""
-        ln = self.hist_len
-        out = (hist >> (ln - 1)) & 1
-        bits = self._idx_bits
-        f = self.f_idx
-        f = ((f << 1) | (f >> (bits - 1))) & self._idx_mask
-        self.f_idx = f ^ b ^ (out << (ln % bits))
-        bits = self.tag_bits
-        f = self.f_tag
-        f = ((f << 1) | (f >> (bits - 1))) & self._tag_mask
-        self.f_tag = f ^ b ^ (out << (ln % bits))
 
     def refold(self, hist: int) -> None:
         """Recompute both CSRs from scratch (history overwritten, e.g. the
@@ -268,11 +262,22 @@ class TageScL:
         return predicted
 
     def shift_history(self, taken: bool) -> None:
-        """Append one outcome to the global history register."""
+        """Append one outcome to the global history register.
+
+        Each table's folded CSRs advance with it: rotate left by one,
+        inject the new bit at position 0 and cancel the bit leaving the
+        window (read from the history *before* the shift) at position
+        ``L mod B``."""
         b = 1 if taken else 0
         hist = self._hist
-        for table in self.tables:
-            table.shift_folded(hist, b)
+        for t in self.tables:
+            out = (hist >> t._out_bit) & 1
+            f = t.f_idx
+            t.f_idx = (((f << 1) | (f >> t._idx_top)) & t._idx_mask) \
+                ^ b ^ (out << t._idx_drop)
+            f = t.f_tag
+            t.f_tag = (((f << 1) | (f >> t._tag_top)) & t._tag_mask) \
+                ^ b ^ (out << t._tag_drop)
         self._hist = ((hist << 1) | b) & ((1 << 256) - 1)
 
     @property

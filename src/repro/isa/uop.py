@@ -11,7 +11,7 @@ Both classes use ``__slots__``: the simulator allocates one DynUop per
 dynamic instruction and these are the hottest objects in the system.
 """
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.common.enums import FU_CLASS, HAS_DEST, IS_FP, UopClass
 
@@ -108,12 +108,10 @@ class DynUop:
         "commit_cycle",
         "completed",
         "squashed",
-        "squash_cause",
         "mem_level",
         "llc_miss",
         "counted_miss",
         "predicted_taken",
-        "mem_issue_cycle",
         "in_lq",
         "in_sq",
         "ready_ord",
@@ -127,22 +125,22 @@ class DynUop:
         self.runahead = runahead
         #: number of unresolved producers; issue-eligible at zero
         self.pending = 0
-        #: dispatched consumers waiting on this uop's result
-        self.consumers: list = []
+        #: dispatched consumers waiting on this uop's result; a shared
+        #: empty tuple until dispatch adds the first one, so a uop that
+        #: nothing reads (every wrong-path uop, for one) allocates no list
+        self.consumers: Union[Tuple[()], List["DynUop"]] = ()
         self.dispatch_cycle = -1
         self.issue_cycle = -1
         self.done_cycle = -1
         self.commit_cycle = -1
         self.completed = False
         self.squashed = False
-        self.squash_cause = 0
         #: which level serviced a memory uop: "l1", "l2", "l3", "dram"
         self.mem_level: Optional[str] = None
         self.llc_miss = False
         #: whether this uop incremented the outstanding-miss (MLP) counter
         self.counted_miss = False
         self.predicted_taken = False
-        self.mem_issue_cycle = -1
         self.in_lq = False
         self.in_sq = False
         #: global wakeup-order stamp assigned when this uop enters the

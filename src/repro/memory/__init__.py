@@ -8,11 +8,10 @@ from repro.memory.dram import (
     DramProtocol,
     dram_preset,
 )
-from repro.memory.hierarchy import AccessResult, MemoryHierarchy
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.prefetcher import StridePrefetcher
 
 __all__ = [
-    "AccessResult",
     "Cache",
     "DRAM_PRESETS",
     "Dram",

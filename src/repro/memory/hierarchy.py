@@ -26,27 +26,6 @@ from repro.memory.prefetcher import StridePrefetcher
 LINE_MASK = ~63
 
 
-class AccessResult:
-    """Outcome of one memory access."""
-
-    __slots__ = ("done_cycle", "level", "merged")
-
-    def __init__(self, done_cycle: int, level: str, merged: bool = False):
-        self.done_cycle = done_cycle
-        self.level = level
-        self.merged = merged
-
-    @property
-    def llc_miss(self) -> bool:
-        return self.level == "dram"
-
-    def __repr__(self) -> str:
-        return (
-            f"AccessResult(done={self.done_cycle}, level={self.level!r}, "
-            f"merged={self.merged})"
-        )
-
-
 class MemoryHierarchy:
     def __init__(self, machine: MachineParams):
         self.machine = machine
@@ -111,8 +90,11 @@ class MemoryHierarchy:
         cycle: int,
         is_write: bool = False,
         pc: int = -1,
-    ) -> Optional[AccessResult]:
-        """One demand access. Returns None when rejected (MSHRs full)."""
+    ) -> Optional[Tuple[int, str, bool]]:
+        """One demand access: ``(done_cycle, level, merged)`` — the cycle
+        the data is ready, the level that serviced it ("l1", "l2", "l3"
+        or "dram"), and whether it merged into an in-flight fill. Returns
+        None when rejected (MSHRs full)."""
         line = addr & LINE_MASK
         lat_l1 = self._lat_l1
 
@@ -123,7 +105,7 @@ class MemoryHierarchy:
                 # Merge into the in-flight fill; data arrives with it.
                 if is_write:
                     self.l1d.mark_dirty(line)
-                return AccessResult(done, level, merged=True)
+                return done, level, True
             del self._outstanding[line]
 
         self.demand_accesses += 1
@@ -140,23 +122,29 @@ class MemoryHierarchy:
                 ways.append(tag)
             if is_write:
                 l1._dirty.add((set_idx, tag))
-            return AccessResult(cycle + lat_l1, "l1")
+            return cycle + lat_l1, "l1", False
         l1.misses += 1
 
-        if self.mshr_in_use(cycle) >= self.mshr_limit:
+        # Nothing in flight can have completed before the cached minimum,
+        # so the count needs pruning only at or past it.
+        in_use = len(self._mshr_done) if self._mshr_min > cycle \
+            else self.mshr_in_use(cycle)
+        if in_use >= self.mshr_limit:
             self.rejected_mshr_full += 1
             return None
 
         if self.l2.lookup(line):
-            result = AccessResult(cycle + self._lat_l12, "l2")
+            done = cycle + self._lat_l12
+            level = "l2"
         else:
             lat = self._lat_l123
             if self.l3.lookup(line):
-                result = AccessResult(cycle + lat, "l3")
+                done = cycle + lat
+                level = "l3"
             else:
                 done = self.dram.access(self.translate(line), cycle + lat,
                                         kind="demand")
-                result = AccessResult(done, "dram")
+                level = "dram"
                 self.demand_llc_misses += 1
                 if self.observer is not None:
                     self.observer("llc_miss", cycle, addr=line, pc=pc,
@@ -168,12 +156,12 @@ class MemoryHierarchy:
             # Dirty L1 victim: write back into L2.
             self.writebacks_to_l2 += 1
             self._fill(self.l2, victim[0], cycle, dirty=True)
-        self._outstanding[line] = (result.done_cycle, result.level)
-        self._mshr_done.append(result.done_cycle)
-        if result.done_cycle < self._mshr_min:
-            self._mshr_min = result.done_cycle
-        self._maybe_prefetch(line, cycle, pc, result.level)
-        return result
+        self._outstanding[line] = (done, level)
+        self._mshr_done.append(done)
+        if done < self._mshr_min:
+            self._mshr_min = done
+        self._maybe_prefetch(line, cycle, pc, level)
+        return done, level, False
 
     def probe_level(self, addr: int) -> str:
         """Which level would service ``addr`` right now (no side effects)."""

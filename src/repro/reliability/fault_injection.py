@@ -9,9 +9,13 @@ recorded ACE interval of that structure.
 
 Because strikes sample the same (bits × time) space the AVF equation
 normalises over, the empirical hit rate converges to the analytical
-AVF = ABC / (N × T) — which makes the injector both a usable
-fault-injection API and an end-to-end validation of the accounting
-(exercised by the test suite and the ``fault_injection`` example).
+AVF = ABC / (N × T) by construction. The injector is a usable
+fault-injection API and a check of the AVF *arithmetic* over the
+recorded intervals (exercised by the test suite and the
+``fault_injection`` example). It is not an independent check of the
+accounting: the intervals it samples are the accountant's own, so a
+bit the accountant misclassifies as ACE or un-ACE is misclassified here
+too.
 
 Structure-level resolution: a strike lands in structure *s* with
 probability bits(s)/N and hits ACE state with probability

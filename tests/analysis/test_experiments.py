@@ -1,5 +1,7 @@
 """Experiment runner caching."""
 
+import json
+import logging
 import os
 
 from repro.analysis.experiments import ExperimentRunner, RunKey
@@ -72,6 +74,37 @@ class TestRunnerCache:
             f.write("{not json")
         r = ExperimentRunner(instructions=600, warmup=200, cache_path=path)
         assert r.run("x264", BASELINE, OOO).instructions > 0
+
+    def test_bad_disk_cache_set_aside_not_overwritten(self, tmp_path, caplog):
+        """An unreadable or foreign-schema cache is renamed to the first
+        free ``<path>.bad-<n>`` with its bytes intact, and the warning
+        names both files; the run then writes a fresh cache."""
+        path = os.path.join(str(tmp_path), "cache.json")
+        corrupt = b"{not json"
+        foreign = json.dumps({"schema": -1, "data": {"k": 1}}).encode()
+        with open(path, "wb") as f:
+            f.write(corrupt)
+        with open(path + ".bad-0", "wb") as f:
+            f.write(b"an earlier casualty")
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            r = ExperimentRunner(instructions=600, warmup=200,
+                                 cache_path=path)
+            r.run("x264", BASELINE, OOO)
+        with open(path + ".bad-0", "rb") as f:
+            assert f.read() == b"an earlier casualty"
+        with open(path + ".bad-1", "rb") as f:
+            assert f.read() == corrupt
+        assert any(path in m and path + ".bad-1" in m
+                   for m in caplog.messages)
+        with open(path) as f:
+            assert len(json.load(f)["data"]) == 1
+
+        with open(path, "wb") as f:
+            f.write(foreign)
+        r = ExperimentRunner(instructions=600, warmup=200, cache_path=path)
+        r.run("x264", BASELINE, OOO)
+        with open(path + ".bad-2", "rb") as f:
+            assert f.read() == foreign
 
     def test_default_warmup_matches_simulate(self):
         from repro.common.params import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP

@@ -63,7 +63,7 @@ class TestEventStaleness:
         consumer = DynUop(StaticUop(idx=10 ** 6 + 1, pc=0, cls=1),
                           seq=10 ** 9 + 1)
         consumer.pending = 1
-        victim.consumers.append(consumer)
+        victim.consumers = [consumer]
         core.backend.writeback(victim, core.cycle)
         assert not victim.completed
         assert consumer.pending == 1  # no wakeup from squashed producers

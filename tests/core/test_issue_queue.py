@@ -1,4 +1,5 @@
-"""Issue queue wakeup, and select through ``WindowBackEnd._do_issue``."""
+"""Issue queue wakeup through ``WindowBackEnd.writeback``, and select
+through ``WindowBackEnd._do_issue``."""
 
 import pytest
 
@@ -8,7 +9,7 @@ from repro.isa.uop import DynUop, StaticUop
 
 from tests.core.issue_harness import fill_mshrs, make_backend
 from tests.core.issue_harness import dyn as dyn_cls
-from tests.core.window_harness import dispatch, make_core
+from tests.core.window_harness import arrival, dispatch, make_core
 
 
 def dyn(seq, pending=0):
@@ -32,21 +33,39 @@ class TestInsertSelect:
         assert be.iq._nready == 0
 
     def test_waiting_until_wakeup(self):
-        iq = IssueQueue(size=4)
-        u = dyn(1, pending=2)
-        iq.insert(u)
+        """Writeback wakes a waiting consumer onto the ready list only
+        once its last producer completes."""
+        core = make_core([UopClass.INT_ADD] * 3, deps={2: (0, 1)})
+        assert dispatch(core) == 3
+        p0, p1, consumer = core.rob
+        iq = core.iq
+        assert consumer.pending == 2 and consumer in iq._waiting
+        c = arrival(core)
+        assert core.backend._do_issue(c) == 2
         assert iq._nready == 0
-        u.pending -= 1
-        iq.wakeup(u)
+        core.backend.writeback(p0, c + 1)
+        assert consumer.pending == 1
         assert iq._nready == 0  # still one producer outstanding
-        u.pending -= 1
-        iq.wakeup(u)
+        core.backend.writeback(p1, c + 1)
+        assert consumer.pending == 0 and consumer not in iq._waiting
         assert iq._nready == 1
+        assert list(iq._ready[consumer.static.fu_cls]) == [consumer]
+        assert p0.consumers == () and p1.consumers == ()
 
     def test_wakeup_of_unknown_uop_is_noop(self):
-        iq = IssueQueue(size=4)
-        iq.wakeup(dyn(9))
+        """A consumer no longer in the waiting set (squashed out of the
+        IQ) is not put on a ready list by its producer's writeback."""
+        core = make_core([UopClass.INT_ADD] * 2, deps={1: (0,)})
+        assert dispatch(core) == 2
+        producer, consumer = core.rob
+        iq = core.iq
+        c = arrival(core)
+        assert core.backend._do_issue(c) == 1
+        consumer.squashed = True
+        iq.squash()
+        core.backend.writeback(producer, c + 1)
         assert iq._nready == 0
+        assert not any(iq._ready)
 
     def test_requeue_preserves_front(self):
         """A load the MSHRs turned away goes back to the front of the

@@ -65,17 +65,15 @@ def reference_issue(be, c):
                 stashed.setdefault(u_cls, []).append(u)
                 continue
             fus.issue(cls, c)
-            done = result.done_cycle
-            u.mem_level = result.level
-            u.mem_issue_cycle = c
-            if result.level == "dram":
+            done, level, merged = result
+            u.mem_level = level
+            if level == "dram":
                 u.llc_miss = True
-                if not result.merged and not u.wrong_path:
+                if not merged and not u.wrong_path:
                     u.counted_miss = True
                     be._out_misses += 1
         elif cls == _STORE:
             fus.issue(cls, c)
-            u.mem_issue_cycle = c
             done = c + 1
         else:
             done = fus.issue(cls, c)
@@ -147,8 +145,8 @@ def _observe(be, uops):
     mem, fus = be.mem, be.fus
     return (
         list(be.engine.events),
-        [(u.issue_cycle, u.mem_level, u.llc_miss, u.counted_miss,
-          u.mem_issue_cycle) for u in uops],
+        [(u.issue_cycle, u.mem_level, u.llc_miss, u.counted_miss)
+         for u in uops],
         (list(fus._stamp), list(fus._used),
          {k: list(v) for k, v in fus._unit_free.items()}),
         be._out_misses, be.iq._nready,

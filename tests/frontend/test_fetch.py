@@ -70,24 +70,24 @@ class TestWrongPathSource:
     def test_negative_indices(self):
         src = WrongPathSource(seed=1)
         for _ in range(10):
-            assert src.next_uop(100).idx < 0
+            assert src.next_uop().idx < 0
 
     def test_deterministic(self):
         a = WrongPathSource(seed=5)
         b = WrongPathSource(seed=5)
         for _ in range(20):
-            ua, ub = a.next_uop(0), b.next_uop(0)
+            ua, ub = a.next_uop(), b.next_uop()
             assert (ua.cls, ua.addr) == (ub.cls, ub.addr)
 
     def test_contains_memory_ops(self):
         src = WrongPathSource(seed=2)
-        classes = {src.next_uop(0).cls for _ in range(32)}
+        classes = {src.next_uop().cls for _ in range(32)}
         assert int(UopClass.LOAD) in classes
         assert int(UopClass.STORE) in classes
 
     def test_loads_have_addresses(self):
         src = WrongPathSource(seed=3)
         for _ in range(32):
-            u = src.next_uop(0)
+            u = src.next_uop()
             if u.is_mem:
                 assert u.addr >= 0

@@ -8,7 +8,7 @@ identical predictions, identical trained state.
 
 import random
 
-from repro.frontend.tage import TageScL, _TaggedTable
+from repro.frontend.tage import TageScL
 
 
 def _stream(n, seed=7):
@@ -61,14 +61,15 @@ def test_hist_overwrite_refolds():
 
 def test_edge_fold_widths():
     """The shift formula's edge cases: fold width wider than the history
-    window (B > L) and window an exact multiple of the width (L % B == 0)."""
+    window (B > L) and window an exact multiple of the width (L % B == 0),
+    each on a one-table predictor whose history length is exactly L."""
     for size, tag_bits, hist_len in ((1024, 9, 4), (16, 4, 8), (16, 4, 64)):
-        t = _TaggedTable(size, tag_bits, hist_len)
-        hist = 0
+        p = TageScL(num_tables=1, table_size=size, tag_bits=tag_bits,
+                    min_hist=hist_len, max_hist=hist_len)
+        (t,) = p.tables
+        assert t.hist_len == hist_len
         rng = random.Random(hist_len)
         for _ in range(1000):
-            b = rng.randrange(2)
-            t.shift_folded(hist, b)
-            hist = (hist << 1) | b
-            assert t.f_idx == t.fold(hist, t._idx_bits)
-            assert t.f_tag == t.fold(hist, t.tag_bits)
+            p.shift_history(rng.randrange(2) == 1)
+            assert t.f_idx == t.fold(p.hist, t._idx_bits)
+            assert t.f_tag == t.fold(p.hist, t.tag_bits)

@@ -52,7 +52,7 @@ class TestDynUop:
         assert d.commit_cycle == -1
         assert not d.completed and not d.squashed
         assert d.pending == 0
-        assert d.consumers == []
+        assert d.consumers == ()
 
     def test_mispredicted_requires_branch(self):
         alu = DynUop(make_static(UopClass.INT_ADD), seq=1)

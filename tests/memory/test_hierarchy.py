@@ -13,33 +13,33 @@ def hierarchy(machine=BASELINE):
 class TestLevels:
     def test_cold_access_goes_to_dram(self):
         m = hierarchy()
-        r = m.access(0x5000_0000, 0)
-        assert r.level == "dram"
-        assert r.done_cycle > 40
+        done, level, _ = m.access(0x5000_0000, 0)
+        assert level == "dram"
+        assert done > 40
 
     def test_second_access_hits_l1(self):
         m = hierarchy()
-        first = m.access(0x5000_0000, 0)
-        r = m.access(0x5000_0000, first.done_cycle + 1)
-        assert r.level == "l1"
-        assert r.done_cycle == first.done_cycle + 1 + BASELINE.l1d.latency
+        first_done, _, _ = m.access(0x5000_0000, 0)
+        done, level, _ = m.access(0x5000_0000, first_done + 1)
+        assert level == "l1"
+        assert done == first_done + 1 + BASELINE.l1d.latency
 
     def test_l1_eviction_leaves_l2(self):
         m = hierarchy()
         base = 0x5000_0000
-        done = m.access(base, 0).done_cycle
+        done = m.access(base, 0)[0]
         # Fill enough same-set lines to evict base from L1 (8-way).
         l1_span = BASELINE.l1d.num_sets * 64
         t = done + 1
         for i in range(1, 12):
-            t = max(t, m.access(base + i * l1_span, t).done_cycle) + 1
-        r = m.access(base, t + 1)
-        assert r.level in ("l2", "l3")
+            t = max(t, m.access(base + i * l1_span, t)[0]) + 1
+        _, level, _ = m.access(base, t + 1)
+        assert level in ("l2", "l3")
 
     def test_probe_level_no_side_effects(self):
         m = hierarchy()
         assert m.probe_level(0x5000_0000) == "dram"
-        done = m.access(0x5000_0000, 0).done_cycle
+        m.access(0x5000_0000, 0)
         assert m.probe_level(0x5000_0000) in ("l1", "dram")
         assert m.demand_accesses == 1
 
@@ -57,38 +57,38 @@ class TestMshr:
     def test_mshrs_free_after_completion(self):
         m = hierarchy()
         results = [m.access(0x5000_0000 + i * 64, 0) for i in range(20)]
-        last_done = max(r.done_cycle for r in results)
+        last_done = max(done for done, _, _ in results)
         assert m.access(0x6000_0000, last_done + 1) is not None
 
     def test_merge_does_not_consume_mshr(self):
         m = hierarchy()
         m.access(0x5000_0000, 0)
         in_use = m.mshr_in_use(1)
-        r = m.access(0x5000_0010, 1)  # same line: merge
-        assert r.merged
+        _, _, merged = m.access(0x5000_0010, 1)  # same line: merge
+        assert merged
         assert m.mshr_in_use(1) == in_use
 
     def test_merge_returns_original_timing(self):
         m = hierarchy()
-        first = m.access(0x5000_0000, 0)
-        merged = m.access(0x5000_0000, 5)
-        assert merged.merged
-        assert merged.done_cycle == first.done_cycle
-        assert merged.level == "dram"
+        first_done, _, _ = m.access(0x5000_0000, 0)
+        done, level, merged = m.access(0x5000_0000, 5)
+        assert merged
+        assert done == first_done
+        assert level == "dram"
 
 
 class TestPreload:
     def test_l3_preload(self):
         m = hierarchy()
         m.preload(0x0800_0000, 64 * 1024, "l3")
-        r = m.access(0x0800_0000, 0)
-        assert r.level == "l3"
+        _, level, _ = m.access(0x0800_0000, 0)
+        assert level == "l3"
 
     def test_l1_preload(self):
         m = hierarchy()
         m.preload(0x0001_0000, 16 * 1024, "l1")
-        r = m.access(0x0001_0000, 0)
-        assert r.level == "l1"
+        _, level, _ = m.access(0x0001_0000, 0)
+        assert level == "l1"
 
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError):
@@ -104,16 +104,16 @@ class TestPrefetcher:
         m = hierarchy(self._machine(("l3",)))
         t = 0
         for i in range(6):
-            r = m.access(0x5000_0000 + i * 64, t, pc=0x400)
-            t = r.done_cycle + 1
+            done, _, _ = m.access(0x5000_0000 + i * 64, t, pc=0x400)
+            t = done + 1
         assert m.prefetches_issued > 0
 
     def test_prefetched_line_serviced_early(self):
         m = hierarchy(self._machine(("l1", "l2", "l3")))
         t = 0
         for i in range(8):
-            r = m.access(0x5000_0000 + i * 64, t, pc=0x400)
-            t = r.done_cycle + 1
+            done, _, _ = m.access(0x5000_0000 + i * 64, t, pc=0x400)
+            t = done + 1
         # Far-ahead line should now be covered (outstanding or resident).
         probe = m.probe_level(0x5000_0000 + 11 * 64)
         cold = m.probe_level(0x6000_0000)
@@ -132,9 +132,9 @@ class TestPrefetcher:
         t = 0
         seen = set()
         for i in range(8):
-            r = m.access(0x5000_0000 + i * 64, t, pc=0x400)
+            done, _, _ = m.access(0x5000_0000 + i * 64, t, pc=0x400)
             seen.update(lvl for _, lvl in m._outstanding.values())
-            t = r.done_cycle + 1
+            t = done + 1
         assert m.prefetches_issued > 0
         assert m.dram.prefetch_requests == 0
         assert seen and "dram" not in seen

@@ -21,11 +21,11 @@ def tiny_hierarchy():
 class TestWritebackPropagation:
     def test_dirty_l1_victim_lands_in_l2(self):
         m = tiny_hierarchy()
-        t = m.access(0x5000_0000, 0, is_write=True).done_cycle + 1
+        t = m.access(0x5000_0000, 0, is_write=True)[0] + 1
         # Evict the dirty line from L1 with same-set fills.
         span = m.l1d.params.num_sets * 64
         for i in range(1, 10):
-            t = m.access(0x5000_0000 + i * span, t).done_cycle + 1
+            t = m.access(0x5000_0000 + i * span, t)[0] + 1
         assert not m.l1d.contains(0x5000_0000)
         assert m.l2.contains(0x5000_0000)
 
@@ -34,8 +34,8 @@ class TestWritebackPropagation:
         t = 0
         # Write far more dirty lines than the 16KB LLC holds.
         for i in range(600):
-            r = m.access(0x5000_0000 + i * 64, t, is_write=True)
-            t = r.done_cycle + 1
+            done, _, _ = m.access(0x5000_0000 + i * 64, t, is_write=True)
+            t = done + 1
         assert m.writebacks_to_dram > 0
         # Writebacks consume DRAM accesses beyond the demand fills.
         assert m.dram.accesses > 600
@@ -44,16 +44,16 @@ class TestWritebackPropagation:
         m = tiny_hierarchy()
         t = 0
         for i in range(600):
-            r = m.access(0x5000_0000 + i * 64, t)  # reads only
-            t = r.done_cycle + 1
+            done, _, _ = m.access(0x5000_0000 + i * 64, t)  # reads only
+            t = done + 1
         assert m.writebacks_to_dram == 0
 
     def test_per_level_writeback_counters(self):
         m = tiny_hierarchy()
         t = 0
         for i in range(600):
-            r = m.access(0x5000_0000 + i * 64, t, is_write=True)
-            t = r.done_cycle + 1
+            done, _, _ = m.access(0x5000_0000 + i * 64, t, is_write=True)
+            t = done + 1
         assert m.writebacks_to_l2 > 0
         assert m.writebacks_to_l3 > 0
         assert m.writebacks_to_dram > 0
@@ -64,8 +64,8 @@ class TestWritebackPropagation:
         m = tiny_hierarchy()
         t = 0
         for i in range(600):
-            r = m.access(0x5000_0000 + i * 64, t, is_write=True)
-            t = r.done_cycle + 1
+            done, _, _ = m.access(0x5000_0000 + i * 64, t, is_write=True)
+            t = done + 1
         d = m.dram
         assert d.demand_requests > 0
         assert d.writeback_requests == m.writebacks_to_dram
