@@ -174,9 +174,9 @@ def _iter_group_points(task: Tuple) -> Iterator[Dict[str, Any]]:
     measure from) — still isolated from *other* groups.
 
     Shared warmups go through the process-local
-    :class:`~repro.checkpoint.CheckpointCache`, so a long-lived farm
-    worker warms each (workload, machine, policy, warmup) once across
-    every request it serves.
+    :class:`~repro.checkpoint.CheckpointCache`, so a process warms each
+    (workload, machine, policy, warmup) once across every group it
+    runs, and forked farm workers inherit the parent's warm entries.
 
     With a ledger path, the worker appends its own life-cycle events
     (``worker_heartbeat`` / ``warmup_shared`` / ``point_start`` /
@@ -401,7 +401,6 @@ class ExperimentRunner:
         validate: bool = False,
         oracle: bool = False,
         ledger: Optional[Any] = None,
-        scheduler: Optional[Any] = None,
     ) -> "MatrixResult":
         """Sweep the full matrix; returns policy name -> workload -> result.
 
@@ -430,11 +429,7 @@ class ExperimentRunner:
         points that repeatedly kill their worker are quarantined. A
         raising point is isolated by the group runner either way and
         reported in the returned :class:`MatrixResult`'s ``failures``
-        instead of tearing the sweep down. ``scheduler`` accepts an
-        already-running :class:`~repro.analysis.farm.FarmScheduler`
-        (``repro serve`` passes its long-lived one so warm checkpoints
-        survive across requests); otherwise an ephemeral scheduler is
-        spun up for the call.
+        instead of tearing the sweep down.
 
         The in-memory/disk cache is the merge point. Disk flushes are
         incremental — after every point in farm mode, after every group
@@ -554,7 +549,7 @@ class ExperimentRunner:
                     "quarantined": bool(outcome.get("quarantined")),
                 })
 
-        if scheduler is not None or (jobs > 1 and len(tasks) > 1):
+        if jobs > 1 and len(tasks) > 1:
             from repro.analysis.farm import FarmScheduler
 
             def _on_point(outcome: Dict[str, Any]) -> None:
@@ -562,12 +557,9 @@ class ExperimentRunner:
                 if self.cache_path and "payload" in outcome:
                     self._save_disk_cache()
 
-            if scheduler is not None:
-                scheduler.run(tasks, on_point=_on_point)
-            else:
-                with FarmScheduler(min(jobs, len(tasks)),
-                                   ledger=ledger) as farm:
-                    farm.run(tasks, on_point=_on_point)
+            with FarmScheduler(min(jobs, len(tasks)),
+                               ledger=ledger) as farm:
+                farm.run(tasks, on_point=_on_point)
         else:
             for task in tasks:
                 for outcome in _iter_group_points(task):

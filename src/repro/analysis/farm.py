@@ -1,32 +1,20 @@
-"""The simulation farm: a crash-tolerant scheduler and sweep service.
+"""The simulation farm: a crash-tolerant scheduler for sweeps.
 
-ROADMAP's "sim-as-a-service" platform needs an execution layer that a
-million-point matrix can trust: one failing point must not tear down a
-sweep, a SIGKILLed/OOMed worker must not lose completed work, and every
-completed point must survive an orchestrator crash. This module builds
-that layer in two pieces:
-
-:class:`FarmScheduler`
-    A worker pool built on ``multiprocessing.Process`` + duplex pipes
-    instead of ``Pool.map``. Workload groups are dispatched to workers
-    which stream results back **per point** (no barrier at group
-    boundaries — the ``imap_unordered`` streaming shape, plus liveness).
-    Worker death is detected as EOF on the worker's pipe; the dead
-    worker's *undelivered* points are requeued with a bounded retry
-    budget, and a point that repeatedly kills its worker is quarantined
-    (recorded in the run ledger as ``point_quarantined``, reported as a
-    failure) instead of wedging the sweep. Workers are persistent
-    across :meth:`FarmScheduler.run` calls, so each worker's
-    process-local :class:`~repro.checkpoint.CheckpointCache` shares
-    warm checkpoints across every request it serves.
-
-:class:`FarmServer`
-    A long-running front end (``repro serve``) over a spool directory:
-    ``repro submit`` drops request JSONs into ``<spool>/queue/``, the
-    server claims them into ``active/`` (crash-tolerant: orphaned
-    active requests are requeued on startup), executes them through one
-    persistent scheduler + the :class:`ExperimentRunner` RunKey cache
-    (cross-request dedupe), and writes responses into ``done/``.
+A sweep must survive its own failures: one failing point must not tear
+down the sweep, a SIGKILLed/OOMed worker must not lose completed work,
+and every completed point must survive an orchestrator crash.
+:class:`FarmScheduler` is that execution layer: a worker pool built on
+``multiprocessing.Process`` + duplex pipes instead of ``Pool.map``.
+Workload groups are dispatched to workers which stream results back
+**per point** (no barrier at group boundaries — the ``imap_unordered``
+streaming shape, plus liveness). Worker death is detected as EOF on the
+worker's pipe; the dead worker's *undelivered* points are requeued with
+a bounded retry budget, and a point that repeatedly kills its worker is
+quarantined (recorded in the run ledger as ``point_quarantined``,
+reported as a failure) instead of wedging the sweep. Workers are
+persistent across :meth:`FarmScheduler.run` calls, so each worker's
+process-local :class:`~repro.checkpoint.CheckpointCache` shares warm
+checkpoints across every run it serves.
 
 Delivery semantics are *at least once*: a worker killed in the instant
 between finishing a point and the scheduler draining its pipe re-runs
@@ -50,20 +38,15 @@ environment variables, inert otherwise):
   as a ``point_error``.
 """
 
-import json
 import os
 import signal
-import time
 import traceback
-import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import experiments as _exp
-from repro.common.io import atomic_write_json
-from repro.common.params import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
 from repro.obs import log as obs_log
 
 __all__ = [
@@ -72,12 +55,6 @@ __all__ = [
     "DEFAULT_MAX_RETRIES",
     "FarmReport",
     "FarmScheduler",
-    "FarmServer",
-    "SweepRequest",
-    "new_request_id",
-    "response_path",
-    "submit_request",
-    "wait_for_response",
 ]
 
 _log = obs_log.get_logger("farm")
@@ -194,9 +171,8 @@ class FarmScheduler:
     """Crash-tolerant worker pool for sweep group tasks.
 
     Use as a context manager (or call :meth:`shutdown` explicitly).
-    Workers persist across :meth:`run` calls — ``repro serve`` keeps
-    one scheduler for its whole lifetime so worker-local checkpoint
-    caches accumulate across requests.
+    Workers persist across :meth:`run` calls, so worker-local
+    checkpoint caches accumulate across them.
 
     Args:
         jobs: worker process count.
@@ -454,302 +430,3 @@ class FarmScheduler:
                 "variant": self._task_variant(task, policy),
                 "error": error, "traceback": tb}
 
-
-# -------------------------------------------------------- spool service
-
-REQUEST_SCHEMA = 1
-RESPONSE_SCHEMA = 1
-
-
-@dataclass
-class SweepRequest:
-    """One spooled sweep request (the ``repro submit`` payload)."""
-
-    request_id: str
-    workloads: List[str]
-    policies: List[str]
-    machine: str = "baseline"
-    instructions: int = DEFAULT_INSTRUCTIONS
-    warmup: int = DEFAULT_WARMUP
-    share_warmup: bool = False
-    warmup_policy: str = "OOO"
-    warmup_mode: str = "detailed"
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": REQUEST_SCHEMA,
-            "request_id": self.request_id,
-            "workloads": list(self.workloads),
-            "policies": list(self.policies),
-            "machine": self.machine,
-            "instructions": self.instructions,
-            "warmup": self.warmup,
-            "share_warmup": self.share_warmup,
-            "warmup_policy": self.warmup_policy,
-            "warmup_mode": self.warmup_mode,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "SweepRequest":
-        if payload.get("schema") != REQUEST_SCHEMA:
-            raise ValueError(
-                f"request schema {payload.get('schema')!r} != "
-                f"{REQUEST_SCHEMA}")
-        workloads = payload.get("workloads")
-        policies = payload.get("policies")
-        if not workloads or not policies:
-            raise ValueError("request needs non-empty workloads+policies")
-        return cls(
-            request_id=str(payload["request_id"]),
-            workloads=[str(w) for w in workloads],
-            policies=[str(p) for p in policies],
-            machine=str(payload.get("machine", "baseline")),
-            instructions=int(payload.get("instructions",
-                                         DEFAULT_INSTRUCTIONS)),
-            warmup=int(payload.get("warmup", DEFAULT_WARMUP)),
-            share_warmup=bool(payload.get("share_warmup", False)),
-            warmup_policy=str(payload.get("warmup_policy", "OOO")),
-            warmup_mode=str(payload.get("warmup_mode", "detailed")),
-        )
-
-
-def new_request_id() -> str:
-    return uuid.uuid4().hex[:12]
-
-
-def _spool_dirs(spool: str) -> Tuple[str, str, str]:
-    dirs = tuple(os.path.join(spool, d) for d in ("queue", "active",
-                                                  "done"))
-    for d in dirs:
-        os.makedirs(d, exist_ok=True)
-    return dirs
-
-
-def submit_request(spool: str, request: SweepRequest) -> str:
-    """Atomically drop a request into ``<spool>/queue/``; returns path."""
-    queue_dir, _, _ = _spool_dirs(spool)
-    path = os.path.join(queue_dir, f"{request.request_id}.json")
-    atomic_write_json(path, request.to_dict(), indent=1)
-    return path
-
-
-def response_path(spool: str, request_id: str) -> str:
-    return os.path.join(spool, "done", f"{request_id}.json")
-
-
-def wait_for_response(spool: str, request_id: str, timeout_s: float,
-                      poll_s: float = 0.2) -> Optional[Dict[str, Any]]:
-    """Poll for a request's response file; ``None`` on timeout."""
-    deadline = time.monotonic() + timeout_s
-    path = response_path(spool, request_id)
-    while True:
-        try:
-            with open(path) as f:
-                return json.load(f)
-        except (OSError, ValueError):
-            pass  # missing, or mid-rename — atomic writes make this rare
-        if time.monotonic() >= deadline:
-            return None
-        time.sleep(poll_s)
-
-
-class FarmServer:
-    """``repro serve``: executes spooled sweep requests until told not to.
-
-    One persistent :class:`FarmScheduler` serves every request (warm
-    checkpoints survive in the workers across requests); one
-    :class:`~repro.analysis.experiments.ExperimentRunner` per
-    (instructions, warmup) pair dedupes repeated points against the
-    RunKey cache, all sharing ``cache_path`` through the idempotent
-    read-merge-write flush. A malformed or unresolvable request is
-    answered with a ``rejected`` response instead of killing the
-    server; an unexpected execution error answers ``error`` with the
-    traceback. Requests found in ``active/`` at startup were claimed by
-    a server that died mid-flight — they are requeued first.
-    """
-
-    def __init__(self, spool: str, machines: Dict[str, Any], *,
-                 jobs: int = 2, cache_path: Optional[str] = None,
-                 ledger: Optional[Any] = None,
-                 max_retries: int = DEFAULT_MAX_RETRIES):
-        self.spool = spool
-        self.machines = machines
-        self.jobs = jobs
-        self.cache_path = cache_path
-        self.max_retries = max_retries
-        if isinstance(ledger, str):
-            from repro.obs.ledger import RunLedger
-            ledger = RunLedger(ledger)
-        self.ledger = ledger
-        self.queue_dir, self.active_dir, self.done_dir = _spool_dirs(spool)
-        self._runners: Dict[Tuple[int, int], Any] = {}
-
-    # ------------------------------------------------------------ spool
-
-    def recover_orphans(self) -> List[str]:
-        """Requeue requests a dead server left claimed in ``active/``."""
-        recovered = []
-        for name in sorted(os.listdir(self.active_dir)):
-            if not name.endswith(".json"):
-                continue
-            src = os.path.join(self.active_dir, name)
-            dst = os.path.join(self.queue_dir, name)
-            try:
-                os.replace(src, dst)
-            except OSError:
-                continue
-            recovered.append(dst)
-        if recovered:
-            _log.warning("recovered orphaned requests", extra={"data": {
-                "count": len(recovered)}})
-        return recovered
-
-    def pending(self) -> List[str]:
-        """Queued request paths, oldest first."""
-        entries = []
-        for name in os.listdir(self.queue_dir):
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.queue_dir, name)
-            try:
-                entries.append((os.path.getmtime(path), name, path))
-            except OSError:
-                continue  # claimed by a sibling server mid-listing
-        return [path for _, _, path in sorted(entries)]
-
-    def _claim(self, queue_path: str) -> Optional[str]:
-        active_path = os.path.join(self.active_dir,
-                                   os.path.basename(queue_path))
-        try:
-            os.replace(queue_path, active_path)
-        except OSError:
-            return None  # another server won the claim
-        return active_path
-
-    # ------------------------------------------------------------ serve
-
-    def serve_forever(self, max_requests: int = 0,
-                      idle_exit_s: float = 0.0,
-                      poll_s: float = 0.2) -> int:
-        """Claim-and-execute loop; returns the number of requests served.
-
-        ``max_requests`` bounds the run (0 = unbounded);
-        ``idle_exit_s`` exits after that long with an empty queue
-        (0 = wait forever) — both exist so tests and CI can run the
-        server to completion.
-        """
-        self.recover_orphans()
-        served = 0
-        with FarmScheduler(self.jobs, ledger=self.ledger,
-                           max_retries=self.max_retries) as scheduler:
-            idle_since = time.monotonic()
-            while True:
-                queued = self.pending()
-                if not queued:
-                    if idle_exit_s and (time.monotonic() - idle_since
-                                        >= idle_exit_s):
-                        break
-                    time.sleep(poll_s)
-                    continue
-                active_path = self._claim(queued[0])
-                if active_path is None:
-                    continue
-                response = self.process_request(active_path, scheduler)
-                atomic_write_json(
-                    response_path(self.spool, response["request_id"]),
-                    response, indent=1)
-                try:
-                    os.unlink(active_path)
-                except OSError:
-                    pass
-                served += 1
-                idle_since = time.monotonic()
-                if max_requests and served >= max_requests:
-                    break
-        return served
-
-    def process_request(self, path: str,
-                        scheduler: FarmScheduler) -> Dict[str, Any]:
-        """Execute one claimed request file; always returns a response."""
-        request_id = os.path.splitext(os.path.basename(path))[0]
-        t0 = time.perf_counter()
-        try:
-            with open(path) as f:
-                payload = json.load(f)
-            request = SweepRequest.from_dict(payload)
-            request_id = request.request_id
-            machine = self.machines[request.machine]
-            from repro.core.runahead import get_policy
-            from repro.workloads.catalog import get_workload
-            for w in request.workloads:
-                get_workload(w)
-            for p in request.policies:
-                get_policy(p)
-            get_policy(request.warmup_policy)
-            from repro.core.fastfwd import validate_warmup_mode
-            validate_warmup_mode(request.warmup_mode)
-        except Exception as e:
-            _log.error("request rejected", exc_info=True, extra={"data": {
-                "request_id": request_id}})
-            return {"schema": RESPONSE_SCHEMA, "request_id": request_id,
-                    "status": "rejected", "error": repr(e),
-                    "results": [], "failures": []}
-        if self.ledger is not None:
-            self.ledger.request_received(
-                request_id=request_id, machine=request.machine,
-                points=len(request.workloads) * len(request.policies))
-        try:
-            runner = self._runner_for(request)
-            matrix = runner.run_matrix(
-                request.workloads, machine, request.policies,
-                jobs=self.jobs, share_warmup=request.share_warmup,
-                warmup_policy=request.warmup_policy,
-                warmup_mode=request.warmup_mode, ledger=self.ledger,
-                scheduler=scheduler)
-            results = []
-            for p in request.policies:
-                for w in request.workloads:
-                    result = matrix.get(p, {}).get(w)
-                    if result is None:
-                        from repro.core.runahead import get_policy
-                        from repro.workloads.catalog import get_workload
-                        result = matrix.get(get_policy(p).name, {}).get(
-                            get_workload(w).name)
-                    if result is not None:
-                        results.append(result.to_dict())
-            response = {
-                "schema": RESPONSE_SCHEMA,
-                "request_id": request_id,
-                "status": "ok" if matrix.ok else "partial",
-                "machine": request.machine,
-                "instructions": request.instructions,
-                "warmup": request.warmup,
-                "warmup_mode": request.warmup_mode,
-                "elapsed_s": round(time.perf_counter() - t0, 4),
-                "results": results,
-                "failures": matrix.failures,
-            }
-        except Exception as e:
-            _log.error("request failed", exc_info=True, extra={"data": {
-                "request_id": request_id}})
-            response = {"schema": RESPONSE_SCHEMA,
-                        "request_id": request_id, "status": "error",
-                        "error": repr(e),
-                        "traceback": traceback.format_exc(),
-                        "results": [], "failures": []}
-        if self.ledger is not None:
-            self.ledger.request_done(
-                request_id=request_id, status=response["status"],
-                results=len(response["results"]),
-                failures=len(response["failures"]))
-        return response
-
-    def _runner_for(self, request: SweepRequest):
-        key = (request.instructions, request.warmup)
-        runner = self._runners.get(key)
-        if runner is None:
-            runner = _exp.ExperimentRunner(
-                instructions=request.instructions, warmup=request.warmup,
-                cache_path=self.cache_path)
-            self._runners[key] = runner
-        return runner

@@ -307,10 +307,11 @@ def simulate_from(
 class CheckpointCache:
     """Process-local bounded LRU of warmed checkpoints.
 
-    The simulation farm (:mod:`repro.analysis.farm`) keeps its worker
-    processes alive across sweep requests; each worker holds one of
-    these so two requests touching the same workload share a single
-    warmup instead of paying it twice. Sharing is safe because
+    Shared-warmup sweeps (``run_matrix(share_warmup=True)``) warm
+    through the process's instance, so two sweeps in one process
+    touching the same workload share a single warmup instead of paying
+    it twice, and farm workers forked from that process start with its
+    entries. Sharing is safe because
     :meth:`Checkpoint.fork` deep-copies the state blob per run — a
     cached checkpoint seeds any number of measurements bit-identically
     to a freshly warmed one (the checkpoint contract).

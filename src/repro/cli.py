@@ -3,19 +3,17 @@
 Subcommands:
     list                 available workloads, policies and machines
     run                  simulate one (workload, machine, policy) point
-    compare              sweep policies on one workload, print a table
-    sweep                workload x policy matrix, optionally parallel
-    serve                crash-tolerant simulation farm server over a
-                         spool directory (docs/farm.md)
-    submit               drop a sweep request into a server's spool,
-                         optionally --wait for the response
-    scaling              Core-1..Core-4 sweep for one workload/policy pair
+    sweep                workload x policy x machine matrix, optionally
+                         parallel; with OOO in the policies the table is
+                         also relative to OOO (``repro sweep mcf`` compares
+                         the paper's eight policies on mcf, ``-m core-1
+                         core-2 core-3 core-4`` sweeps the generations)
     report               render a --stats-out JSON file as tables, or
-                         summarize a sweep run-ledger (JSONL)
+                         summarize and audit a sweep run-ledger (JSONL)
     top                  live in-terminal view of a running sweep,
                          tailing its --ledger file
     diff                 differential check: one point through every
-                         execution path (facade/fork/mp), bit-diffed
+                         execution path (facade/fork), bit-diffed
     golden               golden conformance fingerprints for the
                          25-point baseline: --check or --regen
     memval               validate every DRAM protocol preset's measured
@@ -24,6 +22,9 @@ Subcommands:
                          detailed warmup over a workload x policy grid,
                          with per-point delta tolerances and a JSON
                          report (docs/validation.md)
+    characterize         measure workload characteristics
+    trace                dump/replay/import/inspect trace files
+    calibrate            auto-tune phased workloads to their targets
 
 Global flags (before the subcommand) configure the logging layer
 (docs/observability.md): ``--log-json`` emits diagnostics as JSON
@@ -36,7 +37,8 @@ an append-only JSONL event stream with per-point provenance manifests.
 invariant sanitizer and ``--oracle`` for the commit-stream architectural
 oracle (see docs/validation.md); ``diff`` exits non-zero on any
 divergence and can dump the full report with ``--out``; ``golden
---check`` exits non-zero on any fingerprint drift.
+--check`` exits non-zero on any fingerprint drift; ``report LEDGER``
+exits non-zero when the ledger audit finds a problem.
 
 ``run`` exposes the telemetry subsystem: ``--stats-out`` (hierarchical
 stats + timeline JSON), ``--trace-out`` (Chrome trace-event JSON for
@@ -216,10 +218,11 @@ def _looks_like_ledger(path: str) -> bool:
 
 def cmd_report(args: argparse.Namespace) -> int:
     if _looks_like_ledger(args.path):
-        from repro.obs.ledger import read_ledger
+        from repro.obs.ledger import check_complete, read_ledger
         from repro.obs.top import render_ledger_report
-        print(render_ledger_report(read_ledger(args.path), path=args.path))
-        return 0
+        events = read_ledger(args.path)
+        print(render_ledger_report(events, path=args.path))
+        return 1 if check_complete(events) else 0
     from repro.obs import load_stats, render_report
     print(render_report(load_stats(args.path)))
     return 0
@@ -231,68 +234,62 @@ def cmd_top(args: argparse.Namespace) -> int:
                    follow=args.follow, max_wait_s=args.max_wait)
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    machine = MACHINES[args.machine]
-    policies = args.policies or [p.name for p in ALL_POLICIES]
-    base = simulate(args.workload, machine, "OOO",
-                    instructions=args.instructions, warmup=args.warmup)
-    rows: List[List] = []
-    for name in policies:
-        pol = get_policy(name)
-        r = base if pol.name == "OOO" else simulate(
-            args.workload, machine, pol,
-            instructions=args.instructions, warmup=args.warmup)
-        rows.append([pol.name, r.ipc, r.ipc_rel(base), r.mttf_rel(base),
-                     r.abc_rel(base), r.mlp])
-    print(f"{args.workload} on {machine.name} "
-          f"({args.instructions} instructions):\n")
-    print(format_table(
-        ["policy", "IPC", "IPC_rel", "MTTF_rel", "ABC_rel", "MLP"], rows))
-    return 0
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     import time
 
     from repro.analysis.experiments import ExperimentRunner
 
-    machine = MACHINES[args.machine]
+    machines = [MACHINES[m] for m in args.machines]
     workloads = args.workloads or [w.name for w in ALL_WORKLOADS]
     policies = args.policies or [p.name for p in ALL_POLICIES]
+    wl_names = [get_workload(w).name for w in workloads]
+    pol_names = [get_policy(p).name for p in policies]
     runner = ExperimentRunner(instructions=args.instructions,
                               warmup=args.warmup, cache_path=args.cache)
     t0 = time.perf_counter()
-    matrix = runner.run_matrix(workloads, machine, policies,
-                               jobs=args.jobs,
-                               share_warmup=args.share_warmup,
-                               warmup_policy=args.warmup_policy,
-                               warmup_mode=args.warmup_mode,
-                               stats_dir=args.stats_dir,
-                               validate=args.validate,
-                               oracle=args.oracle,
-                               ledger=args.ledger)
+    results = []  # machine x policy x workload order; failed points absent
+    failures: List[Dict] = []
+    for machine in machines:
+        matrix = runner.run_matrix(workloads, machine, policies,
+                                   jobs=args.jobs,
+                                   share_warmup=args.share_warmup,
+                                   warmup_policy=args.warmup_policy,
+                                   warmup_mode=args.warmup_mode,
+                                   stats_dir=args.stats_dir,
+                                   validate=args.validate,
+                                   oracle=args.oracle,
+                                   ledger=args.ledger)
+        failures += matrix.failures
+        results += [r for p in pol_names for w in wl_names
+                    for r in [matrix.get(p, {}).get(w)] if r is not None]
     elapsed = time.perf_counter() - t0
 
+    # With OOO in the sweep, every point is also shown relative to the
+    # OOO point of its workload and machine.
+    with_rel = "OOO" in pol_names
+    ooo = {(r.workload, r.machine): r for r in results if r.policy == "OOO"}
     rows: List[List] = []
-    for pol in policies:
-        for wl in workloads:
-            r = matrix.get(get_policy(pol).name, {}).get(
-                get_workload(wl).name)
-            if r is None:
-                continue  # failed point: reported below, not a crash here
-            rows.append([r.workload, r.policy, r.ipc, r.mlp, r.mpki,
-                         r.abc_total, r.avf])
-    print(f"{machine.name}: {len(workloads)} workloads x "
+    for r in results:
+        row = [r.workload, r.machine, r.policy, r.ipc]
+        if with_rel:
+            base = ooo.get((r.workload, r.machine))
+            row += ([r.ipc_rel(base), r.mttf_rel(base), r.abc_rel(base)]
+                    if base is not None else ["-"] * 3)
+        rows.append(row + [r.mlp, r.mpki, r.abc_total, r.avf])
+    machine_label = ",".join(m.name for m in machines)
+    print(f"{machine_label}: {len(workloads)} workloads x "
           f"{len(policies)} policies ({args.instructions} instructions):\n")
     print(format_table(
-        ["workload", "policy", "IPC", "MLP", "MPKI", "ABC", "AVF"], rows))
+        ["workload", "machine", "policy", "IPC"]
+        + (["IPC_rel", "MTTF_rel", "ABC_rel"] if with_rel else [])
+        + ["MLP", "MPKI", "ABC", "AVF"], rows))
     mode = f"jobs={args.jobs}"
     if args.share_warmup:
         mode += f", shared warmup under {args.warmup_policy}"
     if args.warmup_mode != "detailed":
         mode += f", {args.warmup_mode} warmup"
     print(f"\n{len(rows)} points in {elapsed:.2f}s ({mode})")
-    for f in matrix.failures:
+    for f in failures:
         tag = "QUARANTINED" if f.get("quarantined") else "FAILED"
         print(f"{tag} {f['workload']}/{f['machine']}/{f['policy']}: "
               f"{f['error']}")
@@ -304,7 +301,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.out:
         from repro.common.io import atomic_write_json
         payload = {
-            "machine": machine.name,
+            "machine": machine_label,
             "instructions": args.instructions,
             "warmup": args.warmup,
             "jobs": args.jobs,
@@ -312,72 +309,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "warmup_policy": args.warmup_policy,
             "warmup_mode": args.warmup_mode,
             "elapsed_s": elapsed,
-            "results": [r.to_dict() for p in policies for w in workloads
-                        for r in [matrix.get(get_policy(p).name, {}).get(
-                            get_workload(w).name)] if r is not None],
-            "failures": matrix.failures,
+            "results": [r.to_dict() for r in results],
+            "failures": failures,
         }
         atomic_write_json(args.out, payload, indent=2)
         print(f"results JSON   -> {args.out}")
-    if matrix.failures:
-        print(f"\n{len(matrix.failures)} point(s) failed "
+    if failures:
+        print(f"\n{len(failures)} point(s) failed "
               f"({len(rows)} completed)", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.analysis.farm import FarmServer
-
-    server = FarmServer(args.spool, MACHINES, jobs=args.jobs,
-                        cache_path=args.cache, ledger=args.ledger,
-                        max_retries=args.max_retries)
-    print(f"repro serve: spool {args.spool} (jobs={args.jobs})")
-    served = server.serve_forever(max_requests=args.max_requests,
-                                  idle_exit_s=args.idle_exit)
-    print(f"served {served} request(s)")
-    return 0
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    from repro.analysis.farm import (
-        SweepRequest, new_request_id, response_path, submit_request,
-        wait_for_response,
-    )
-
-    workloads = args.workloads or [w.name for w in ALL_WORKLOADS]
-    policies = args.policies or [p.name for p in ALL_POLICIES]
-    request = SweepRequest(
-        request_id=new_request_id(), workloads=workloads,
-        policies=policies, machine=args.machine,
-        instructions=args.instructions, warmup=args.warmup,
-        share_warmup=args.share_warmup, warmup_policy=args.warmup_policy,
-        warmup_mode=args.warmup_mode)
-    path = submit_request(args.spool, request)
-    print(f"submitted {request.request_id} "
-          f"({len(workloads)}x{len(policies)} points) -> {path}")
-    if not args.wait:
-        print(f"response will land at "
-              f"{response_path(args.spool, request.request_id)}")
-        return 0
-    response = wait_for_response(args.spool, request.request_id,
-                                 timeout_s=args.timeout)
-    if response is None:
-        print(f"timed out after {args.timeout:.0f}s waiting for response",
-              file=sys.stderr)
-        return 1
-    status = response.get("status")
-    print(f"request {request.request_id}: {status} "
-          f"({len(response.get('results', []))} results, "
-          f"{len(response.get('failures', []))} failures)")
-    for f in response.get("failures", []):
-        tag = "QUARANTINED" if f.get("quarantined") else "FAILED"
-        print(f"  {tag} {f['workload']}/{f['machine']}/{f['policy']}: "
-              f"{f['error']}")
-    if status != "ok":
-        err = response.get("error")
-        if err:
-            print(f"  {err}", file=sys.stderr)
         return 1
     return 0
 
@@ -594,24 +533,6 @@ def cmd_warmval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_scaling(args: argparse.Namespace) -> int:
-    rows: List[List] = []
-    for machine in (CORE1, CORE2, CORE3, CORE4):
-        base = simulate(args.workload, machine, "OOO",
-                        instructions=args.instructions, warmup=args.warmup)
-        r = simulate(args.workload, machine, args.policy,
-                     instructions=args.instructions, warmup=args.warmup)
-        rows.append([machine.name, machine.core.rob_size,
-                     base.abc_total / base.instructions,
-                     r.abc_total / r.instructions,
-                     r.mttf_rel(base), r.ipc_rel(base)])
-    print(f"{args.workload} under {args.policy} across core generations:\n")
-    print(format_table(
-        ["machine", "ROB", "OoO ABC/inst", f"{args.policy} ABC/inst",
-         "MTTF_rel", "IPC_rel"], rows))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -659,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report",
                        help="render a --stats-out file as tables, or "
-                            "summarize a sweep run-ledger")
+                            "summarize and audit a sweep run-ledger "
+                            "(exit 1 on an audit problem)")
     p.add_argument("path", help="stats JSON written by run --stats-out, "
                                 "or a JSONL ledger from sweep --ledger")
 
@@ -675,22 +597,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-wait", type=float, default=0.0, metavar="SEC",
                    help="give up (exit 1) after SEC seconds (0 = never)")
 
-    p = sub.add_parser("compare", help="sweep policies on one workload")
-    p.add_argument("workload")
-    p.add_argument("policies", nargs="*",
-                   help="policy names (default: the paper's eight)")
-    p.add_argument("-m", "--machine", default="baseline",
-                   choices=sorted(MACHINES))
-    _add_size_args(p)
-
     p = sub.add_parser("sweep",
-                       help="workload x policy matrix, optionally parallel")
+                       help="workload x policy x machine matrix, optionally "
+                            "parallel")
     p.add_argument("workloads", nargs="*",
                    help="workload names (default: full catalog)")
     p.add_argument("-p", "--policies", nargs="+", metavar="NAME",
-                   help="policy names (default: the paper's eight)")
-    p.add_argument("-m", "--machine", default="baseline",
-                   choices=sorted(MACHINES))
+                   help="policy names (default: the paper's eight); with "
+                        "OOO among them the table adds IPC_rel, MTTF_rel "
+                        "and ABC_rel against OOO")
+    p.add_argument("-m", "--machine", dest="machines", nargs="+",
+                   default=["baseline"], choices=sorted(MACHINES),
+                   metavar="NAME",
+                   help="one or more machines, swept one after another "
+                        "(default: baseline)")
     p.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
                    help="worker processes; groups by workload (default 1)")
     p.add_argument("--share-warmup", action="store_true",
@@ -719,61 +639,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_size_args(p)
     _add_warmup_mode_arg(p)
 
-    p = sub.add_parser(
-        "serve",
-        help="run the simulation farm server over a spool directory")
-    p.add_argument("spool", help="spool directory (queue/ active/ done/ "
-                                 "are created inside it)")
-    p.add_argument("-j", "--jobs", type=int, default=2, metavar="N",
-                   help="farm worker processes (default 2)")
-    p.add_argument("--cache", metavar="FILE",
-                   help="shared JSON result cache: repeated points across "
-                        "requests are served from it")
-    p.add_argument("--ledger", metavar="FILE",
-                   help="append scheduler + request events to this JSONL "
-                        "run ledger")
-    p.add_argument("--max-requests", type=int, default=0, metavar="N",
-                   help="exit after serving N requests (default 0 = "
-                        "serve forever)")
-    p.add_argument("--idle-exit", type=float, default=0.0, metavar="SEC",
-                   help="exit after SEC seconds with an empty queue "
-                        "(default 0 = wait forever)")
-    p.add_argument("--max-retries", type=int, default=2, metavar="N",
-                   help="worker deaths a group survives before its first "
-                        "undelivered point is quarantined (default 2)")
-
-    p = sub.add_parser(
-        "submit",
-        help="submit a sweep request to a `repro serve` spool")
-    p.add_argument("spool", help="the server's spool directory")
-    p.add_argument("workloads", nargs="*",
-                   help="workload names (default: full catalog)")
-    p.add_argument("-p", "--policies", nargs="+", metavar="NAME",
-                   help="policy names (default: the paper's eight)")
-    p.add_argument("-m", "--machine", default="baseline",
-                   choices=sorted(MACHINES))
-    p.add_argument("--share-warmup", action="store_true",
-                   help="warm each workload once per group (approximation)")
-    p.add_argument("--warmup-policy", default="OOO", metavar="NAME",
-                   help="policy the shared warmup runs under (default OOO)")
-    p.add_argument("--wait", action="store_true",
-                   help="block until the response lands in done/ and "
-                        "print it (exit 1 on partial/failed)")
-    p.add_argument("--timeout", type=float, default=600.0, metavar="SEC",
-                   help="--wait timeout (default 600)")
-    _add_size_args(p)
-    _add_warmup_mode_arg(p)
-
+    from repro.validate.diff import PATHS
     p = sub.add_parser(
         "diff", help="differential check across execution paths")
     p.add_argument("workload")
     p.add_argument("policy", nargs="?", default="RAR")
     p.add_argument("-m", "--machine", default="baseline",
                    choices=sorted(MACHINES))
-    p.add_argument("--paths", nargs="+", default=["facade", "fork", "mp"],
-                   choices=("facade", "fork", "mp"), metavar="PATH",
+    p.add_argument("--paths", nargs="+", default=list(PATHS),
+                   choices=PATHS, metavar="PATH",
                    help="execution paths to compare; the first is the "
-                        "reference (default: facade fork mp)")
+                        "reference (default: facade fork)")
     p.add_argument("--seed", type=int, default=None,
                    help="trace/wrong-path seed (default: workload's)")
     p.add_argument("--bisect-interval", type=int, default=500, metavar="N",
@@ -838,11 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace seed (default: workload's own)")
     p.add_argument("--report", metavar="FILE",
                    help="write the per-point JSON delta report to FILE")
-
-    p = sub.add_parser("scaling", help="Core-1..4 sweep")
-    p.add_argument("workload")
-    p.add_argument("policy", nargs="?", default="RAR")
-    _add_size_args(p)
 
     p = sub.add_parser("characterize",
                        help="measure workload characteristics")
@@ -919,15 +790,11 @@ def main(argv=None) -> int:
         "run": cmd_run,
         "report": cmd_report,
         "top": cmd_top,
-        "compare": cmd_compare,
         "sweep": cmd_sweep,
-        "serve": cmd_serve,
-        "submit": cmd_submit,
         "diff": cmd_diff,
         "golden": cmd_golden,
         "memval": cmd_memval,
         "warmval": cmd_warmval,
-        "scaling": cmd_scaling,
         "trace": cmd_trace,
         "characterize": cmd_characterize,
         "calibrate": cmd_calibrate,

@@ -25,8 +25,6 @@ event                     emitted when
                           on the queue for another attempt
 ``point_quarantined``     a point exhausted its retry budget killing
                           workers and was quarantined (terminal)
-``request_received``      ``repro serve`` claimed a spooled sweep request
-``request_done``          the request's response file was written
 ``sweep_done``            the sweep returned; aggregate counts and wall
 ========================  =================================================
 
@@ -37,7 +35,11 @@ that every point of a completed sweep has exactly one terminal event
 (``point_done`` / ``point_cached`` / ``point_error`` /
 ``point_quarantined``). A worker killed mid-point leaves a dangling
 ``point_start`` behind; the requeued attempt supplies the single
-terminal event, so a crash-tolerant sweep still audits clean.
+terminal event, so a crash-tolerant sweep still audits clean. One file
+may hold several sweeps (``repro sweep -m A B --ledger``, or sweeps
+appended one after another): their announced points add up, and the
+file is complete once every ``sweep_start`` has its ``sweep_done``.
+Events of types this version does not emit (older ledgers) are skipped.
 
 :func:`summarize` folds an event list into a :class:`SweepStatus` used
 by ``repro top`` (live) and ``repro report`` (post-mortem).
@@ -70,8 +72,6 @@ EVENT_TYPES = (
     "worker_dead",
     "point_requeued",
     "point_quarantined",
-    "request_received",
-    "request_done",
     "point_error",
     "sweep_done",
 )
@@ -81,9 +81,8 @@ TERMINAL_EVENTS = ("point_done", "point_cached", "point_error",
                    "point_quarantined")
 
 #: scheduler-side events: emitted by the orchestrating process *about*
-#: a worker or request, so they never mark the emitting pid as a worker
-SCHEDULER_EVENTS = ("worker_dead", "point_requeued", "point_quarantined",
-                    "request_received", "request_done")
+#: a worker, so they never mark the emitting pid as a worker
+SCHEDULER_EVENTS = ("worker_dead", "point_requeued", "point_quarantined")
 
 
 def point_label(event: Dict[str, Any]) -> str:
@@ -148,12 +147,6 @@ class RunLedger:
     def point_quarantined(self, *, error: str, **fields: Any) -> None:
         self.emit("point_quarantined", error=error, **fields)
 
-    def request_received(self, *, request_id: str, **fields: Any) -> None:
-        self.emit("request_received", request_id=request_id, **fields)
-
-    def request_done(self, *, request_id: str, **fields: Any) -> None:
-        self.emit("request_done", request_id=request_id, **fields)
-
     def point_error(self, *, error: str, traceback_text: str,
                     **fields: Any) -> None:
         self.emit("point_error", error=error,
@@ -191,13 +184,14 @@ class SweepStatus:
     finished: Optional[float] = None
     last_ts: float = 0.0
     total_points: int = 0
+    sweeps: int = 0              # sweep_start events
+    sweeps_done: int = 0         # sweep_done events
     done: int = 0
     cached: int = 0
     errors: int = 0
     quarantined: int = 0
     requeued: int = 0
     worker_deaths: int = 0
-    requests: int = 0
     warmups: int = 0
     manifest: Dict[str, Any] = field(default_factory=dict)
     params: Dict[str, Any] = field(default_factory=dict)
@@ -218,7 +212,8 @@ class SweepStatus:
 
     @property
     def complete(self) -> bool:
-        return self.finished is not None
+        """Every announced sweep has returned."""
+        return self.finished is not None and self.sweeps_done >= self.sweeps
 
     @property
     def cache_hit_rate(self) -> float:
@@ -228,7 +223,7 @@ class SweepStatus:
     def elapsed_s(self) -> float:
         if self.started is None:
             return 0.0
-        end = self.finished if self.finished is not None else self.last_ts
+        end = self.finished if self.complete else self.last_ts
         return max(0.0, end - self.started)
 
     @property
@@ -265,14 +260,17 @@ def summarize(events: List[Dict[str, Any]],
         st.last_ts = max(st.last_ts, ts)
         pid = int(e.get("pid", 0))
         if ev == "sweep_start":
-            st.started = ts
-            st.total_points = int(e.get("total_points", 0))
+            if st.started is None:
+                st.started = ts
+            st.sweeps += 1
+            st.total_points += int(e.get("total_points", 0))
             st.manifest = e.get("manifest") or {}
             st.params = {k: v for k, v in e.items()
                          if k not in ("ev", "ts", "pid", "total_points",
                                       "manifest")}
             continue
         if ev == "sweep_done":
+            st.sweeps_done += 1
             st.finished = ts
             continue
         if ev not in EVENT_TYPES or ev is None:
@@ -290,8 +288,6 @@ def summarize(events: List[Dict[str, Any]],
                 st.quarantined += 1
                 st.error_points.append(
                     f"{point_label(e)} (quarantined)")
-            elif ev == "request_received":
-                st.requests += 1
             continue
         w = st.workers.setdefault(pid, WorkerState(pid=pid))
         w.last_event, w.last_ts = ev, ts
@@ -327,9 +323,10 @@ def load_status(path: str) -> SweepStatus:
 
 
 def check_complete(events: List[Dict[str, Any]]) -> List[str]:
-    """Audit a finished ledger: every announced point must have exactly
-    one terminal event. Returns human-readable problem lines (empty
-    means the terminal guarantee held)."""
+    """Audit a finished ledger: every point its sweeps announced must
+    have exactly one terminal event, and every sweep must have returned.
+    Returns human-readable problem lines (empty means the terminal
+    guarantee held)."""
     problems: List[str] = []
     terminal: Dict[str, int] = {}
     for e in events:
@@ -342,8 +339,14 @@ def check_complete(events: List[Dict[str, Any]]) -> List[str]:
             problems.append(f"{label}: {n} terminal events (expected 1)")
     if st.total_points and len(terminal) != st.total_points:
         problems.append(f"{len(terminal)} distinct points have terminal "
-                        f"events, sweep announced {st.total_points}")
+                        f"events, {st.sweeps} sweep(s) announced "
+                        f"{st.total_points}")
     if not st.complete and not problems:
-        problems.append("no sweep_done event (sweep crashed or still "
-                        "running)")
+        if st.sweeps <= 1:
+            problems.append("no sweep_done event (sweep crashed or still "
+                            "running)")
+        else:
+            problems.append(f"{st.sweeps - st.sweeps_done} of {st.sweeps} "
+                            f"sweeps have no sweep_done event (crashed or "
+                            f"still running)")
     return problems

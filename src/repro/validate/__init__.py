@@ -14,7 +14,7 @@ Two validation layers, both opt-in and zero-cost when disabled:
   cycle it first becomes observable.
 - :func:`~repro.validate.diff.differential_check` — runs the same
   (workload, machine, policy, seed) point through the independent
-  execution paths (cold facade, checkpoint fork, multiprocess worker),
+  execution paths (cold facade, checkpoint fork),
   diffs the full :meth:`SimResult.to_dict` payloads field by field, and
   on divergence bisects to the first differing stats-timeline interval.
   Exposed on the command line as ``repro diff``.

@@ -1,6 +1,6 @@
 """Differential harness: one point, every execution path, bit-diffed.
 
-The simulator exposes several ways to run the same (workload, machine,
+The simulator exposes two ways to run the same (workload, machine,
 policy, seed) point:
 
 - ``facade`` — a cold :func:`repro.sim.simulate` (warmup + measure in
@@ -8,11 +8,10 @@ policy, seed) point:
 - ``fork`` — :func:`repro.checkpoint.warm_checkpoint` then
   :func:`repro.checkpoint.simulate_from` under the same policy, which
   the checkpoint layer contracts to be bit-identical to the cold run.
-- ``mp`` — the cold :func:`repro.sim.simulate` executed inside a
-  one-process ``multiprocessing`` pool worker, with the result shipped
-  back as a ``to_dict()`` payload. It checks that pickling the inputs
-  and the result changes nothing; it is not the farm that
-  ``ExperimentRunner.run_matrix(jobs=N)`` fans out on.
+
+The farm's pickled round trip (``run_matrix(jobs=N)``) is checked
+against the serial sweep by ``tests/analysis/test_farm.py`` and
+``tools/farm_smoke.py``.
 
 :func:`differential_check` runs the requested paths, diffs the full
 :meth:`~repro.sim.SimResult.to_dict` payloads field by field, and — on
@@ -37,7 +36,7 @@ __all__ = ["DiffReport", "Divergence", "FieldDiff", "PATHS",
            "differential_check"]
 
 #: Execution paths the harness knows how to drive.
-PATHS = ("facade", "fork", "mp")
+PATHS = ("facade", "fork")
 
 
 @dataclass(frozen=True)
@@ -128,14 +127,13 @@ class DiffReport:
         return "\n".join(lines)
 
 
-# ---------------------------------------------------------------- workers
+# ------------------------------------------------------------------ paths
 
-def _run_point(task: Tuple) -> Dict[str, Any]:
-    """Execute one path of one point; module-level so it pickles into
-    pool workers (the ``mp`` path). ``interval > 0`` additionally
+def _run_point(path: str, workload, machine, policy: str,
+               instructions: int, warmup: int, seed: Optional[int],
+               validate: bool, interval: int = 0) -> Dict[str, Any]:
+    """Execute one path of one point. ``interval > 0`` additionally
     captures the interval-sampler timeline for bisection."""
-    (path, workload, machine, policy, instructions, warmup, seed,
-     validate, interval) = task
     telemetry = None
     if interval:
         from repro.obs import Telemetry
@@ -153,19 +151,6 @@ def _run_point(task: Tuple) -> Dict[str, Any]:
                           seed=seed, telemetry=telemetry, validate=validate)
     rows = telemetry.sampler.rows if telemetry is not None else None
     return {"result": result.to_dict(), "timeline": rows}
-
-
-def _execute(path: str, workload, machine, policy: str, instructions: int,
-             warmup: int, seed: Optional[int], validate: bool,
-             interval: int = 0) -> Dict[str, Any]:
-    inner = "facade" if path == "mp" else path
-    task = (inner, workload, machine, policy, instructions, warmup, seed,
-            validate, interval)
-    if path == "mp":
-        from repro.analysis.experiments import _pool_context
-        with _pool_context().Pool(1) as pool:
-            return pool.apply(_run_point, (task,))
-    return _run_point(task)
 
 
 # ------------------------------------------------------------------ diffs
@@ -241,9 +226,7 @@ def differential_check(
     """Run one point through every requested path and diff the results.
 
     Args:
-        workload: catalog name or :class:`WorkloadSpec` (must be
-            picklable when the ``mp`` path is requested — catalog names
-            always are).
+        workload: catalog name or :class:`WorkloadSpec`.
         machine: machine configuration.
         policy: policy name or :class:`RunaheadPolicy`.
         instructions / warmup / seed: the point's run coordinates,
@@ -270,8 +253,9 @@ def differential_check(
 
     results: Dict[str, Dict[str, Any]] = {}
     for p in paths:
-        results[p] = _execute(p, workload, machine, policy_name,
-                              instructions, warmup, seed, validate)["result"]
+        results[p] = _run_point(p, workload, machine, policy_name,
+                                instructions, warmup, seed,
+                                validate)["result"]
 
     ref = paths[0]
     divergences: List[Divergence] = []
@@ -283,12 +267,12 @@ def differential_check(
         if bisect_interval > 0:
             # Re-run only the divergent pair, now with a timeline, and
             # pin the first interval at which the two runs disagree.
-            ref_tl = _execute(ref, workload, machine, policy_name,
-                              instructions, warmup, seed, validate,
-                              interval=bisect_interval)["timeline"]
-            other_tl = _execute(other, workload, machine, policy_name,
+            ref_tl = _run_point(ref, workload, machine, policy_name,
                                 instructions, warmup, seed, validate,
                                 interval=bisect_interval)["timeline"]
+            other_tl = _run_point(other, workload, machine, policy_name,
+                                  instructions, warmup, seed, validate,
+                                  interval=bisect_interval)["timeline"]
             div.first_interval = _bisect_timeline(ref_tl, other_tl)
         divergences.append(div)
 

@@ -399,17 +399,20 @@ class InvariantChecker(Component):
         """O(1) free-slot counters vs the writeback event heap.
 
         Every issued uop schedules exactly one EV_WB at a strictly future
-        cycle, so at check time (the end of the cycle) the heap still
-        holds every uop issued this cycle — the ground truth for the
-        pipelined per-cycle slot counters — and, for the non-pipelined
-        classes, exactly the uops whose unit is still reserved
-        (``done > cycle``), squashed or not: a reserved divider stays
-        busy even if its uop was squashed.
+        cycle, so at the end of a cycle the heap still holds every uop
+        issued this cycle — the ground truth for the pipelined per-cycle
+        slot counters — and, for the non-pipelined classes, exactly the
+        uops whose unit is still reserved (``done > cycle``), squashed or
+        not: a reserved divider stays busy even if its uop was squashed.
+        Only events due after ``cycle`` count: :meth:`final_check` runs
+        at ``core.cycle``, which the engine has not simulated yet, so a
+        writeback due exactly then is still in the heap while its unit
+        is already free at ``cycle``.
         """
         issued_now = [0] * NUM_FU_CLASSES
         in_flight = [0] * NUM_FU_CLASSES
-        for _when, _n, kind, payload in self.engine._events:
-            if kind != EV_WB:
+        for when, _n, kind, payload in self.engine._events:
+            if kind != EV_WB or when <= cycle:
                 continue
             fc = payload.static.fu_cls
             in_flight[fc] += 1

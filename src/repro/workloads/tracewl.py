@@ -3,7 +3,7 @@ workloads.
 
 ``get_workload("trace:/path/to/file.trc")`` resolves to a
 :class:`TraceWorkload`, so every surface that accepts a workload name —
-``repro run``, ``sweep``, ``submit``, ``warmval``, the farm, checkpoint
+``repro run``, ``sweep``, ``warmval``, the farm, checkpoint
 warming — drives the core from an on-disk trace instead of a synthetic
 generator. The object quacks like :class:`WorkloadSpec` where the
 simulator cares (``name``, ``memory_intensive``, ``build_trace``,

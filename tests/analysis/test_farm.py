@@ -1,4 +1,4 @@
-"""Crash semantics of the simulation farm (scheduler + spool service).
+"""Crash semantics of the simulation farm scheduler.
 
 The tier-1 tests here inject real SIGKILLs into real worker processes
 (via the ``REPRO_FARM_*`` environment hooks) and assert the scheduler's
@@ -12,15 +12,7 @@ import os
 import pytest
 
 from repro.analysis.experiments import ExperimentRunner
-from repro.analysis.farm import (
-    DEFAULT_MAX_RETRIES,
-    FarmScheduler,
-    FarmServer,
-    SweepRequest,
-    new_request_id,
-    response_path,
-    submit_request,
-)
+from repro.analysis.farm import DEFAULT_MAX_RETRIES, FarmScheduler
 from repro.common.params import BASELINE
 from repro.obs.ledger import check_complete, read_ledger, summarize
 
@@ -146,180 +138,8 @@ class TestFarmEqualsSerial:
 
 
 class TestScheduler:
-    def test_explicit_scheduler_reused_across_runs(self, tmp_path):
-        """A long-lived scheduler (the ``repro serve`` shape) serves
-        multiple run_matrix calls with the same worker pool."""
-        r1 = ExperimentRunner(instructions=N, warmup=W)
-        r2 = ExperimentRunner(instructions=N, warmup=W)
-        with FarmScheduler(2) as scheduler:
-            a = r1.run_matrix(WLS, BASELINE, ["OOO"], scheduler=scheduler)
-            b = r2.run_matrix(WLS, BASELINE, ["RAR"], scheduler=scheduler)
-        assert sorted(a["OOO"]) == sorted(WLS)
-        assert sorted(b["RAR"]) == sorted(WLS)
-
     def test_run_on_empty_task_list(self):
         with FarmScheduler(1) as scheduler:
             report = scheduler.run([])
         assert report.points == 0
         assert report.worker_deaths == 0
-
-
-class TestSpoolService:
-    def _submit(self, spool, **kw):
-        request = SweepRequest(
-            request_id=new_request_id(), workloads=kw.pop("workloads", WLS),
-            policies=kw.pop("policies", POLS), instructions=N, warmup=W,
-            **kw)
-        submit_request(spool, request)
-        return request
-
-    def test_round_trip(self, tmp_path):
-        spool = os.path.join(str(tmp_path), "spool")
-        request = self._submit(spool)
-        ledger = os.path.join(str(tmp_path), "led.jsonl")
-        server = FarmServer(spool, {"baseline": BASELINE}, jobs=2,
-                            ledger=ledger)
-        served = server.serve_forever(max_requests=1)
-        assert served == 1
-        response = json.load(open(response_path(spool, request.request_id)))
-        assert response["status"] == "ok"
-        assert len(response["results"]) == len(WLS) * len(POLS)
-        assert response["failures"] == []
-        # the claimed request file was retired from active/
-        assert os.listdir(server.active_dir) == []
-        events = read_ledger(ledger)
-        assert any(e["ev"] == "request_received" for e in events)
-        done = [e for e in events if e["ev"] == "request_done"]
-        assert done and done[0]["status"] == "ok"
-
-    def test_bad_request_rejected_server_survives(self, tmp_path):
-        spool = os.path.join(str(tmp_path), "spool")
-        bad = self._submit(spool, workloads=["no-such-workload"])
-        import time
-        time.sleep(0.02)  # distinct mtimes: bad claims first (FIFO)
-        good = self._submit(spool, workloads=["mcf"], policies=["OOO"])
-        server = FarmServer(spool, {"baseline": BASELINE}, jobs=1)
-        assert server.serve_forever(max_requests=2) == 2
-        rej = json.load(open(response_path(spool, bad.request_id)))
-        assert rej["status"] == "rejected"
-        assert "no-such-workload" in rej["error"]
-        ok = json.load(open(response_path(spool, good.request_id)))
-        assert ok["status"] == "ok" and len(ok["results"]) == 1
-
-    def test_fast_mode_request_matches_serial(self, tmp_path):
-        spool = os.path.join(str(tmp_path), "spool")
-        request = self._submit(spool, workloads=["mcf"], policies=POLS,
-                               warmup_mode="fast")
-        server = FarmServer(spool, {"baseline": BASELINE}, jobs=2)
-        assert server.serve_forever(max_requests=1) == 1
-        response = json.load(open(response_path(spool, request.request_id)))
-        assert response["status"] == "ok"
-        assert response["warmup_mode"] == "fast"
-        serial = ExperimentRunner(instructions=N, warmup=W).run_matrix(
-            ["mcf"], BASELINE, POLS, warmup_mode="fast")
-        got = {(r["policy"], r["workload"]): r
-               for r in response["results"]}
-        for p in POLS:
-            assert got[(p, "mcf")] == serial[p]["mcf"].to_dict()
-
-    def test_unknown_warmup_mode_rejected(self, tmp_path):
-        spool = os.path.join(str(tmp_path), "spool")
-        bad = self._submit(spool, workloads=["mcf"], policies=["OOO"],
-                           warmup_mode="warp")
-        server = FarmServer(spool, {"baseline": BASELINE}, jobs=1)
-        assert server.serve_forever(max_requests=1) == 1
-        rej = json.load(open(response_path(spool, bad.request_id)))
-        assert rej["status"] == "rejected"
-        assert "warp" in rej["error"]
-
-    def test_orphan_recovery(self, tmp_path):
-        spool = os.path.join(str(tmp_path), "spool")
-        request = self._submit(spool, workloads=["mcf"], policies=["OOO"])
-        server = FarmServer(spool, {"baseline": BASELINE}, jobs=1)
-        # simulate a server that died after claiming: queue -> active
-        name = f"{request.request_id}.json"
-        os.replace(os.path.join(server.queue_dir, name),
-                   os.path.join(server.active_dir, name))
-        assert server.pending() == []
-        recovered = server.recover_orphans()
-        assert [os.path.basename(p) for p in recovered] == [name]
-        assert [os.path.basename(p) for p in server.pending()] == [name]
-        # serve_forever recovers on its own too
-        os.replace(os.path.join(server.queue_dir, name),
-                   os.path.join(server.active_dir, name))
-        assert server.serve_forever(max_requests=1) == 1
-        response = json.load(
-            open(response_path(spool, request.request_id)))
-        assert response["status"] == "ok"
-
-    def test_partial_status_on_failed_point(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FARM_RAISE", "mcf:RAR")
-        spool = os.path.join(str(tmp_path), "spool")
-        request = self._submit(spool, workloads=["mcf"])
-        server = FarmServer(spool, {"baseline": BASELINE}, jobs=2)
-        server.serve_forever(max_requests=1)
-        response = json.load(
-            open(response_path(spool, request.request_id)))
-        assert response["status"] == "partial"
-        assert len(response["results"]) == 1
-        assert len(response["failures"]) == 1
-        assert response["failures"][0]["policy"] == "RAR"
-
-    def test_cross_request_checkpoint_sharing(self, tmp_path):
-        """Two share-warmup requests for the same workload: the second
-        reuses the worker's cached warm checkpoint (one ``warmup_shared``
-        event total), and its approximation is bit-identical to a fresh
-        serial shared-warmup run."""
-        # farm workers fork from this process and would inherit any
-        # checkpoint this test session already warmed — start clean so
-        # the event count below measures the cross-request sharing
-        import repro.checkpoint as checkpoint_mod
-        checkpoint_mod._PROCESS_CACHE = None
-        spool = os.path.join(str(tmp_path), "spool")
-        ledger = os.path.join(str(tmp_path), "led.jsonl")
-        a = self._submit(spool, workloads=["mcf"], policies=["FLUSH"],
-                         share_warmup=True)
-        import time
-        time.sleep(0.02)
-        b = self._submit(spool, workloads=["mcf"], policies=["RAR"],
-                         share_warmup=True)
-        server = FarmServer(spool, {"baseline": BASELINE}, jobs=1,
-                            ledger=ledger)
-        assert server.serve_forever(max_requests=2) == 2
-        events = read_ledger(ledger)
-        warmups = [e for e in events if e["ev"] == "warmup_shared"]
-        assert len(warmups) == 1  # second request hit the worker's cache
-        resp_b = json.load(open(response_path(spool, b.request_id)))
-        assert resp_b["status"] == "ok"
-        serial = ExperimentRunner(instructions=N, warmup=W)
-        want = serial.run_matrix(["mcf"], BASELINE, ["RAR"],
-                                 share_warmup=True)
-        assert resp_b["results"][0] == want["RAR"]["mcf"].to_dict()
-        resp_a = json.load(open(response_path(spool, a.request_id)))
-        assert resp_a["status"] == "ok"
-
-
-class TestSweepRequest:
-    def test_round_trips_through_dict(self):
-        request = SweepRequest(request_id="abc", workloads=["mcf"],
-                               policies=["OOO", "RAR"], machine="core-2",
-                               instructions=1234, warmup=55,
-                               share_warmup=True, warmup_policy="FLUSH",
-                               warmup_mode="fast")
-        assert SweepRequest.from_dict(request.to_dict()) == request
-
-    def test_warmup_mode_defaults_to_detailed(self):
-        payload = SweepRequest(request_id="abc", workloads=["mcf"],
-                               policies=["OOO"]).to_dict()
-        del payload["warmup_mode"]  # pre-fast-warmup client
-        assert SweepRequest.from_dict(payload).warmup_mode == "detailed"
-
-    def test_rejects_wrong_schema_and_empty_axes(self):
-        good = SweepRequest(request_id="abc", workloads=["mcf"],
-                            policies=["OOO"]).to_dict()
-        with pytest.raises(ValueError, match="schema"):
-            SweepRequest.from_dict({**good, "schema": 99})
-        with pytest.raises(ValueError, match="non-empty"):
-            SweepRequest.from_dict({**good, "workloads": []})
-        with pytest.raises(ValueError, match="non-empty"):
-            SweepRequest.from_dict({**good, "policies": []})

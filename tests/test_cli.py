@@ -14,6 +14,19 @@ class TestParser:
         assert args.policy == "RAR"
         assert args.instructions == 500
 
+    def test_subcommand_set(self):
+        sub = next(a for a in build_parser()._actions
+                   if a.dest == "command")
+        assert sorted(sub.choices) == [
+            "calibrate", "characterize", "diff", "golden", "list", "memval",
+            "report", "run", "sweep", "top", "trace", "warmval"]
+
+    def test_diff_paths_reject_mp(self):
+        parser = build_parser()
+        assert parser.parse_args(["diff", "mcf"]).paths == ["facade", "fork"]
+        with pytest.raises(SystemExit):
+            parser.parse_args(["diff", "mcf", "--paths", "facade", "mp"])
+
     def test_machine_choices(self):
         parser = build_parser()
         with pytest.raises(SystemExit):
@@ -47,12 +60,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "IPC" in out and "AVF" in out
 
-    def test_compare(self, capsys):
-        assert main(["compare", "x264", "OOO", "RAR",
-                     "-n", "500", "-w", "200"]) == 0
-        out = capsys.readouterr().out
-        assert "MTTF_rel" in out
-        assert "RAR" in out
 
     def test_unknown_workload_raises(self):
         with pytest.raises(KeyError):
@@ -118,6 +125,83 @@ class TestSweepCommand:
         stats = json.load(open(f"{stats_dir}/{files[0]}"))
         assert stats["result"]["policy"] == "OOO"
 
+    @staticmethod
+    def _table(out):
+        """The sweep table's rows as dicts keyed by its header."""
+        lines = out.splitlines()
+        head = next(i for i, ln in enumerate(lines)
+                    if ln.split()[:2] == ["workload", "machine"])
+        header = lines[head].split()
+        rows = []
+        for ln in lines[head + 2:]:
+            if not ln.strip():
+                break
+            rows.append(dict(zip(header, ln.split())))
+        return header, rows
+
+    def test_sweep_relative_to_ooo(self, capsys):
+        """`repro sweep W -p OOO RAR` prints each point relative to OOO:
+        the numbers of two direct `simulate` calls."""
+        from repro.sim import simulate
+        assert main(["sweep", "x264", "-p", "OOO", "RAR",
+                     "-n", "500", "-w", "200"]) == 0
+        header, rows = self._table(capsys.readouterr().out)
+        assert header == ["workload", "machine", "policy", "IPC", "IPC_rel",
+                          "MTTF_rel", "ABC_rel", "MLP", "MPKI", "ABC", "AVF"]
+        base = simulate("x264", MACHINES["baseline"], "OOO",
+                        instructions=500, warmup=200)
+        rar = simulate("x264", MACHINES["baseline"], "RAR",
+                       instructions=500, warmup=200)
+        assert [(r["machine"], r["policy"]) for r in rows] == [
+            ("baseline", "OOO"), ("baseline", "RAR")]
+        for row, r in zip(rows, (base, rar)):
+            assert row["IPC"] == f"{r.ipc:.3f}"
+            assert row["IPC_rel"] == f"{r.ipc_rel(base):.3f}"
+            assert row["MTTF_rel"] == f"{r.mttf_rel(base):.3f}"
+            assert row["ABC_rel"] == f"{r.abc_rel(base):.3f}"
+            assert row["MLP"] == f"{r.mlp:.3f}"
+            assert row["ABC"] == str(r.abc_total)
+        assert rows[0]["IPC_rel"] == rows[0]["MTTF_rel"] == "1.000"
+
+    def test_sweep_without_ooo_has_no_relative_columns(self, capsys):
+        assert main(["sweep", "x264", "-p", "RAR",
+                     "-n", "500", "-w", "200"]) == 0
+        header, _ = self._table(capsys.readouterr().out)
+        assert "IPC_rel" not in header and "machine" in header
+
+    def test_sweep_across_core_generations(self, tmp_path, capsys):
+        """`-m` takes several machines: each point is relative to the OOO
+        point of its own machine, and --out joins the machine names."""
+        import json
+        from repro.sim import simulate
+        gens = ["core-1", "core-2", "core-3", "core-4"]
+        out_json = str(tmp_path / "sweep.json")
+        assert main(["sweep", "x264", "-p", "OOO", "RAR", "-m", *gens,
+                     "-n", "300", "-w", "150", "--out", out_json]) == 0
+        _, rows = self._table(capsys.readouterr().out)
+        rar = {r["machine"]: r for r in rows if r["policy"] == "RAR"}
+        assert sorted(rar) == gens
+        for name in gens:
+            m = MACHINES[name]
+            base = simulate("x264", m, "OOO", instructions=300, warmup=150)
+            r = simulate("x264", m, "RAR", instructions=300, warmup=150)
+            assert rar[name]["MTTF_rel"] == f"{r.mttf_rel(base):.3f}"
+            assert rar[name]["IPC_rel"] == f"{r.ipc_rel(base):.3f}"
+        payload = json.load(open(out_json))
+        assert payload["machine"] == "core-1,core-2,core-3,core-4"
+        assert len(payload["results"]) == 8
+
+    def test_multi_machine_ledger_audits_clean(self, tmp_path, capsys):
+        from repro.obs.ledger import check_complete, read_ledger
+        path = str(tmp_path / "l.jsonl")
+        assert main(["sweep", "x264", "-p", "OOO", "-m", "core-1", "core-2",
+                     "-n", "300", "-w", "150", "--ledger", path]) == 0
+        events = read_ledger(path)
+        assert [e["ev"] for e in events].count("sweep_start") == 2
+        assert check_complete(events) == []
+        capsys.readouterr()
+        assert main(["report", path]) == 0
+
     def test_sweep_matches_single_run(self, tmp_path, capsys):
         """A sweep point equals the same point via `repro run`."""
         import json
@@ -130,14 +214,6 @@ class TestSweepCommand:
                           instructions=500, warmup=200)
         (point,) = json.load(open(out_json))["results"]
         assert point == direct.to_dict()
-
-
-class TestScalingCommand:
-    def test_scaling_exit_code_and_table(self, capsys):
-        assert main(["scaling", "x264", "RAR", "-n", "300", "-w", "150"]) == 0
-        out = capsys.readouterr().out
-        assert "MTTF_rel" in out
-        assert "core-1" in out and "core-4" in out
 
 
 class TestTelemetryFlags:
@@ -211,6 +287,14 @@ class TestReportCommand:
         assert "ace.total" in out
         assert "timeline" in out
         assert "mcf" in out and "RAR" in out
+
+    def test_report_exits_1_on_ledger_audit_problem(self, tmp_path, capsys):
+        from repro.obs.ledger import RunLedger
+        path = str(tmp_path / "l.jsonl")
+        led = RunLedger(path)
+        led.sweep_start(total_points=1, manifest={})  # never finishes
+        assert main(["report", path]) == 1
+        assert "0 distinct points" in capsys.readouterr().out
 
     def test_report_on_missing_file_raises(self):
         with pytest.raises(FileNotFoundError):
@@ -368,35 +452,6 @@ class TestLogFlags:
 
 
 class TestFarmCommands:
-    def test_serve_parser_defaults(self):
-        args = build_parser().parse_args(["serve", "/tmp/spool"])
-        assert args.command == "serve"
-        assert args.spool == "/tmp/spool"
-        assert args.jobs == 2 and args.max_requests == 0
-        assert args.idle_exit == 0.0 and args.max_retries == 2
-
-    def test_submit_parser(self):
-        args = build_parser().parse_args(
-            ["submit", "/tmp/spool", "mcf", "-p", "OOO", "RAR",
-             "--wait", "--timeout", "30", "-n", "500"])
-        assert args.command == "submit"
-        assert args.workloads == ["mcf"]
-        assert args.policies == ["OOO", "RAR"]
-        assert args.wait and args.timeout == 30.0
-        assert args.instructions == 500
-
-    def test_submit_then_serve_round_trip(self, tmp_path, capsys):
-        spool = str(tmp_path / "spool")
-        assert main(["submit", spool, "mcf", "-p", "OOO",
-                     "-n", "800", "-w", "300"]) == 0
-        assert main(["serve", spool, "-j", "1", "--max-requests", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "submitted" in out and "served 1 request(s)" in out
-        # a --wait with no server running times out with exit 1
-        assert main(["submit", spool, "mcf", "-p", "OOO", "-n", "800",
-                     "-w", "300", "--wait", "--timeout", "0.3"]) == 1
-        assert "timed out" in capsys.readouterr().err
-
     def test_sweep_exit_code_reports_failures(self, tmp_path, capsys,
                                               monkeypatch):
         monkeypatch.setenv("REPRO_FARM_RAISE", "mcf:RAR")
@@ -411,8 +466,7 @@ class TestFarmCommands:
 class TestWarmupMode:
     def test_parser_accepts_and_rejects_modes(self):
         parser = build_parser()
-        for cmd in (["run", "mcf"], ["sweep", "mcf"],
-                    ["submit", "/tmp/spool", "mcf"]):
+        for cmd in (["run", "mcf"], ["sweep", "mcf"]):
             args = parser.parse_args(cmd + ["--warmup-mode", "fast"])
             assert args.warmup_mode == "fast"
             assert parser.parse_args(cmd).warmup_mode == "detailed"

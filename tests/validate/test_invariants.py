@@ -228,6 +228,36 @@ class TestEventDrivenDetection:
         with pytest.raises(InvariantViolation, match="fu-scoreboard"):
             core.checker.check_cycle(core.cycle)
 
+    def test_fu_writeback_due_at_unsimulated_cycle_passes(self):
+        """``final_check`` runs at ``core.cycle``, which the engine has
+        not simulated yet: a divider writeback due exactly then is still
+        in the heap while its unit is already free at that cycle."""
+        from repro.core.engine import EV_WB
+        core = sanitized_core(workload="lbm", policy="OOO", instructions=300)
+        engine, fus = core.engine, core.fus
+        due_now = set()
+
+        def divider_wb_due_now():
+            due_now.update(
+                payload.static.fu_cls
+                for when, _n, kind, payload in engine._events
+                if kind == EV_WB and when == engine.cycle
+                and not fus._pipelined[payload.static.fu_cls])
+            return due_now
+
+        self._step_until(core, divider_wb_due_now)
+        for fc in due_now:
+            assert fus.busy_units(fc, core.cycle) == 0
+        core.checker.check_cycle(core.cycle)
+        core.checker.final_check()
+
+    def test_extension_policy_run_ends_clean(self):
+        """The end-to-end case: this point's last divider writeback is due
+        at the cycle the run stops on."""
+        r = simulate("lbm", BASELINE, "RA-BUFFER", instructions=3000,
+                     warmup=3000, validate=True)
+        assert r.instructions >= 3000
+
     def test_backend_false_quiesce_detected(self):
         core = sanitized_core(policy="OOO", instructions=300)
         core.backend.quiesced = True  # OOO never leaves NORMAL mode
