@@ -658,8 +658,12 @@ class ExperimentRunner:
         for key, payload in self._read_disk_payloads().items():
             try:
                 self._cache[key] = SimResult.from_dict(payload)
-            except TypeError:
-                continue  # stale schema: ignore and recompute
+            except TypeError as e:
+                _log.warning(
+                    f"result cache {self.cache_path}: entry {key} is "
+                    f"unusable ({e}); recomputing it",
+                    extra={"data": {"path": self.cache_path, "key": key,
+                                    "reason": str(e)}})
 
     def _save_disk_cache(self) -> None:
         """Merge this runner's results into the disk cache, atomically.

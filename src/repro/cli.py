@@ -43,8 +43,8 @@ exits non-zero when the ledger audit finds a problem.
 ``run`` exposes the telemetry subsystem: ``--stats-out`` (hierarchical
 stats + timeline JSON), ``--trace-out`` (Chrome trace-event JSON for
 Perfetto), ``--timeline-out`` (JSONL/CSV interval samples),
-``--interval`` (sampling period), ``--profile`` / ``--profile-stages``
-(host-side KIPS and stage shares) and ``--heartbeat`` (progress lines).
+``--interval`` (sampling period), ``--profile`` (host-side KIPS) and
+``--heartbeat`` (progress lines).
 """
 
 import argparse
@@ -131,8 +131,7 @@ def cmd_list(_args: argparse.Namespace) -> int:
 def _build_telemetry(args: argparse.Namespace):
     """A Telemetry matching the run flags, or None when all are off."""
     wants = (args.stats_out or args.trace_out or args.timeline_out
-             or args.interval or args.profile or args.profile_stages
-             or args.heartbeat)
+             or args.interval or args.profile or args.heartbeat)
     if not wants:
         return None
     from repro.obs import Telemetry
@@ -143,7 +142,6 @@ def _build_telemetry(args: argparse.Namespace):
         interval=interval,
         trace=bool(args.trace_out),
         profile=bool(args.stats_out) or args.profile,
-        profile_stages=args.profile_stages,
         heartbeat_s=args.heartbeat,
     )
 
@@ -197,10 +195,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             prof = telemetry.profiler
             print(f"  host           {prof.kips:.1f} KIPS, "
                   f"{prof.cycles_per_second:.0f} cycles/s")
-            shares = prof.stage_shares()
-            if shares:
-                print("  stage shares   " + " ".join(
-                    f"{k.lstrip('_')}={v:.1%}" for k, v in shares.items()))
     return 0
 
 
@@ -566,8 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 1000 when --stats/timeline-out is set)")
     p.add_argument("--profile", action="store_true",
                    help="report host-side simulated-KIPS throughput")
-    p.add_argument("--profile-stages", action="store_true",
-                   help="also time pipeline stages (slows simulation)")
     p.add_argument("--heartbeat", type=float, default=0.0, metavar="SEC",
                    help="progress line on stderr every SEC wall seconds")
     p.add_argument("--validate", action="store_true",

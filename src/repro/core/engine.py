@@ -155,8 +155,7 @@ class SimEngine(Component):
         """Simulate the current cycle; returns activity count (0 = idle).
 
         Does *not* advance :attr:`cycle` — :meth:`run` owns the clock so
-        that idle stretches can fast-forward. ``process_events`` is looked
-        up on the instance each cycle: the host profiler shadows it there.
+        that idle stretches can fast-forward.
         """
         c = self.cycle
         ev = self._events

@@ -21,8 +21,6 @@ The sweep/orchestration layer (see ``docs/observability.md``) adds:
   digest, versions, host) embedded in stats/cache/ledger artifacts.
 - :mod:`~repro.obs.log` — the central stdlib-logging layer behind
   ``--log-json`` / ``--quiet`` / ``--verbose``, multiprocessing-safe.
-- :mod:`~repro.obs.bench` — bench-history records and the CI
-  regression gate over them.
 """
 
 from repro.obs import log

@@ -1,14 +1,7 @@
 """Host-side (wall-clock) profiling of the simulator itself.
 
-Three facilities for future performance work:
-
 - **Throughput**: simulated KIPS (committed kilo-instructions per wall
-  second) and cycles/second over a measured region — the baseline number
-  every perf PR should move.
-- **Per-stage shares**: opt-in instrumentation that wraps the core's
-  pipeline-stage methods with ``perf_counter`` timers, reporting which
-  stage the host CPU actually spends its time in. Adds ~2x overhead, so
-  it is never on by default.
+  second) and cycles/second over a measured region.
 - **Heartbeat**: a periodic one-line progress report for long runs
   (cycle, committed, live KIPS), throttled by wall time. Routed through
   the central logging layer (:mod:`repro.obs.log`) so ``--quiet``
@@ -27,30 +20,15 @@ __all__ = ["HostProfiler"]
 
 _log = obs_log.get_logger("profiler")
 
-#: pipeline stage methods wrapped by ``profile_stages``, as
-#: (core attribute holding the owning component, method name, report key)
-_STAGES = (
-    ("engine", "process_events", "events"),
-    ("commit_unit", "step", "commit"),
-    ("runahead_ctl", "step", "controller"),
-    ("backend", "_do_issue", "issue"),
-    ("backend", "_do_dispatch", "dispatch"),
-    ("frontend_stage", "step", "fetch"),
-    ("engine", "fast_forward", "fast_forward"),
-)
-
 
 class HostProfiler:
-    """Wall-clock throughput, optional stage breakdown, heartbeat."""
+    """Wall-clock throughput and heartbeat."""
 
-    def __init__(self, stages: bool = False, heartbeat_s: float = 0.0,
-                 stream=None):
-        self.stages_enabled = stages
+    def __init__(self, heartbeat_s: float = 0.0, stream=None):
         self.heartbeat_s = heartbeat_s
         #: None routes heartbeats through the logging layer; a stream
         #: pins them to that stream regardless of log configuration.
         self.stream = stream
-        self.stage_seconds: Dict[str, float] = {}
         self.wall_seconds = 0.0
         self.instructions = 0
         self.cycles = 0
@@ -64,8 +42,7 @@ class HostProfiler:
     # ------------------------------------------------------------ region
 
     def reset(self) -> None:
-        """Zero accumulated throughput totals (stage timings are kept:
-        they describe the host, not the measured window)."""
+        """Zero accumulated throughput totals."""
         self.wall_seconds = 0.0
         self.instructions = 0
         self.cycles = 0
@@ -73,8 +50,6 @@ class HostProfiler:
 
     def start(self, core) -> None:
         """Begin the measured region (idempotent per region)."""
-        if self.stages_enabled:
-            self.profile_stages(core)
         self._start_committed = core.stats.committed
         self._start_cycle = core.cycle
         self._t0 = time.perf_counter()
@@ -98,35 +73,6 @@ class HostProfiler:
     @property
     def cycles_per_second(self) -> float:
         return self.cycles / self.wall_seconds if self.wall_seconds else 0.0
-
-    # ------------------------------------------------------------ stages
-
-    def profile_stages(self, core) -> None:
-        """Wrap the pipeline components' stage methods with wall-clock
-        timers (instance-level shadowing, so only this core is slowed)."""
-        shares = self.stage_seconds
-        for owner_attr, name, key in _STAGES:
-            owner = getattr(core, owner_attr)
-            bound = getattr(owner, name)
-            shares.setdefault(key, 0.0)
-
-            def timed(*args, _fn=bound, _key=key, **kw):
-                t = time.perf_counter()
-                try:
-                    return _fn(*args, **kw)
-                finally:
-                    shares[_key] += time.perf_counter() - t
-
-            setattr(owner, name, timed)
-
-    def stage_shares(self) -> Dict[str, float]:
-        """Per-stage fraction of the total instrumented wall time."""
-        total = sum(self.stage_seconds.values())
-        if not total:
-            return {}
-        return {k: v / total
-                for k, v in sorted(self.stage_seconds.items(),
-                                   key=lambda kv: -kv[1])}
 
     # --------------------------------------------------------- heartbeat
 
@@ -165,14 +111,10 @@ class HostProfiler:
     # ------------------------------------------------------------ report
 
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
+        return {
             "wall_seconds": self.wall_seconds,
             "instructions": self.instructions,
             "cycles": self.cycles,
             "kips": self.kips,
             "cycles_per_second": self.cycles_per_second,
         }
-        shares = self.stage_shares()
-        if shares:
-            out["stage_shares"] = shares
-        return out

@@ -102,14 +102,10 @@ def render_report(obj: Dict[str, Any]) -> str:
         sections.append(_render_timeline(timeline))
     prof = obj.get("host_profile")
     if prof:
-        line = (f"host: {prof.get('kips', 0.0):.1f} KIPS, "
-                f"{prof.get('cycles_per_second', 0.0):.0f} cycles/s over "
-                f"{prof.get('wall_seconds', 0.0):.3f}s")
-        shares = prof.get("stage_shares")
-        if shares:
-            line += "\n  stage shares: " + " ".join(
-                f"{k}={v:.1%}" for k, v in shares.items())
-        sections.append(line)
+        sections.append(
+            f"host: {prof.get('kips', 0.0):.1f} KIPS, "
+            f"{prof.get('cycles_per_second', 0.0):.0f} cycles/s over "
+            f"{prof.get('wall_seconds', 0.0):.3f}s")
     trace = obj.get("trace_summary")
     if trace:
         counts = " ".join(f"{k}={v}" for k, v in

@@ -37,22 +37,18 @@ class Telemetry:
         trace: enable the pipeline event tracer.
         trace_capacity: ring-buffer size for the tracer.
         profile: enable host-side throughput profiling.
-        profile_stages: also instrument per-stage wall-clock shares
-            (slows simulation; implies ``profile``).
         heartbeat_s: print a progress line every this many wall seconds
             (0 disables).
     """
 
     def __init__(self, interval: int = 0, trace: bool = False,
                  trace_capacity: int = 65536, profile: bool = False,
-                 profile_stages: bool = False, heartbeat_s: float = 0.0,
-                 stream=None):
+                 heartbeat_s: float = 0.0, stream=None):
         self.sampler = IntervalSampler(interval) if interval else None
         self.tracer = EventTracer(trace_capacity) if trace else None
         self.profiler = None
-        if profile or profile_stages or heartbeat_s:
-            self.profiler = HostProfiler(stages=profile_stages,
-                                         heartbeat_s=heartbeat_s,
+        if profile or heartbeat_s:
+            self.profiler = HostProfiler(heartbeat_s=heartbeat_s,
                                          stream=stream)
         self.registry = None
         self.core = None

@@ -8,7 +8,7 @@ The one-call entry point for users and for the benchmark harness::
     print(result.ipc, result.abc_total)
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.common.params import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP, \
@@ -74,10 +74,32 @@ class SimResult:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SimResult":
-        """Inverse of :meth:`to_dict`. Unknown keys are rejected (a
-        ``TypeError``), so stale cache entries fail loudly rather than
-        deserialise into a half-filled result."""
+        """Inverse of :meth:`to_dict`. Unknown keys and values of the
+        wrong type raise ``TypeError`` naming the field, so stale or
+        corrupt cache entries fail loudly rather than deserialise into a
+        broken result."""
+        if not isinstance(payload, dict):
+            raise TypeError(f"result payload is {type(payload).__name__}, "
+                            f"not an object")
+        for f in fields(cls):
+            if f.name in payload:
+                what, ok = _FIELD_CHECKS[f.type]
+                if not ok(payload[f.name]):
+                    raise TypeError(f"field {f.name!r} must be {what}, "
+                                    f"got {payload[f.name]!r}")
         return cls(**payload)
+
+
+#: field annotation -> (description, JSON value check); ``bool`` is
+#: rejected where an int is expected
+_FIELD_CHECKS = {
+    str: ("a string", lambda v: isinstance(v, str)),
+    int: ("an int", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    Dict[str, int]: ("a str -> int object", lambda v: isinstance(v, dict)
+                     and all(isinstance(k, str) and type(n) is int
+                             for k, n in v.items())),
+}
 
 
 def simulate(

@@ -106,6 +106,33 @@ class TestRunnerCache:
         with open(path + ".bad-2", "rb") as f:
             assert f.read() == foreign
 
+    def test_wrong_type_entry_recomputed_with_warning(self, tmp_path,
+                                                      caplog):
+        """An entry whose fields have the wrong types is not served: the
+        warning names the cache, the key and the field, and the point is
+        recomputed bit-identically."""
+        path = os.path.join(str(tmp_path), "cache.json")
+        r1 = ExperimentRunner(instructions=600, warmup=200, cache_path=path)
+        first = r1.run_matrix(["x264"], BASELINE, ["OOO", "RAR"])
+        with open(path) as f:
+            raw = json.load(f)
+        key = next(k for k in raw["data"] if "|OOO|" in k)
+        raw["data"][key]["cycles"] = "oops"
+        raw["data"][key]["abc"] = [1, 2]
+        with open(path, "w") as f:
+            json.dump(raw, f)
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            r2 = ExperimentRunner(instructions=600, warmup=200,
+                                  cache_path=path)
+            second = r2.run_matrix(["x264"], BASELINE, ["OOO", "RAR"])
+        assert second["OOO"]["x264"] == first["OOO"]["x264"]
+        assert second["RAR"]["x264"] == first["RAR"]["x264"]
+        warned = [m for m in caplog.messages if key in m]
+        assert len(warned) == 1
+        assert path in warned[0] and "'cycles'" in warned[0]
+        with open(path) as f:
+            assert json.load(f)["data"][key] == first["OOO"]["x264"].to_dict()
+
     def test_default_warmup_matches_simulate(self):
         from repro.common.params import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
         r = ExperimentRunner()

@@ -71,7 +71,7 @@ class TestRenderReport:
         assert "core.commit.committed" in out
         assert "distribution" in out and "core.lat" in out
         assert "timeline: 3 samples" in out
-        assert "8.5 KIPS" in out and "commit=60.0%" in out
+        assert "8.5 KIPS" in out
         assert "runahead_enter=2" in out
 
     def test_manifest_section(self):

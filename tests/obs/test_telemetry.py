@@ -151,15 +151,6 @@ class TestDisabledTelemetryIsInert:
 
 
 class TestProfiler:
-    def test_stage_shares(self):
-        tele = Telemetry(profile_stages=True)
-        simulate("x264", BASELINE, "OOO", instructions=400, warmup=100,
-                 telemetry=tele)
-        shares = tele.profiler.stage_shares()
-        assert shares
-        assert sum(shares.values()) == pytest.approx(1.0)
-        assert all(v >= 0 for v in shares.values())
-
     def test_heartbeat_stream(self):
         import io
         stream = io.StringIO()

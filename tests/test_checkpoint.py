@@ -115,6 +115,24 @@ class TestSimResultRoundTrip:
         with pytest.raises(TypeError):
             SimResult.from_dict(payload)
 
+    @pytest.mark.parametrize("name,value", [
+        ("cycles", "oops"), ("cycles", True), ("cycles", 1.5),
+        ("ipc", "0.5"), ("ipc", None), ("workload", 3),
+        ("abc", [1, 2]), ("abc", {"rob": 1.0}), ("abc", {"rob": False}),
+    ])
+    def test_wrong_types_rejected_naming_field(self, name, value):
+        r = simulate("x264", BASELINE, "OOO", instructions=400, warmup=100)
+        payload = r.to_dict()
+        payload[name] = value
+        with pytest.raises(TypeError, match=repr(name)):
+            SimResult.from_dict(payload)
+
+    def test_int_accepted_for_float_field(self):
+        r = simulate("x264", BASELINE, "OOO", instructions=400, warmup=100)
+        payload = r.to_dict()
+        payload["mlp"] = 2
+        assert SimResult.from_dict(payload).mlp == 2
+
 
 class TestCheckpointCache:
     def test_warms_once_then_hits(self):
