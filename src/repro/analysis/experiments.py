@@ -6,9 +6,9 @@ Figures 7 and 8 plot reliability and performance of the *same* five runs.
 (JSON) so each point simulates exactly once per benchmark session.
 
 :meth:`ExperimentRunner.run_matrix` additionally knows how to *sweep*:
-points are grouped by workload, each group can share one warmed
-checkpoint across its policies (``share_warmup=True``), and groups fan
-out across the crash-tolerant farm scheduler
+each point is one task, or each workload's points share one warmed
+checkpoint in one task (``share_warmup=True``), and tasks fan out
+across the crash-tolerant farm scheduler
 (:mod:`repro.analysis.farm`, ``jobs=N``) with the disk cache as the
 merge point — flushed incrementally and idempotently as points land,
 so a crash mid-sweep preserves every completed point. Failing points
@@ -29,7 +29,7 @@ from repro.common.params import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP, \
     MachineParams
 from repro.core.runahead import RunaheadPolicy, get_policy
 from repro.obs import log as obs_log
-from repro.sim import SimResult, simulate
+from repro.sim import SimResult, measure, simulate, warm_core
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.catalog import get_workload
 
@@ -123,17 +123,6 @@ def _variant(share_warmup: bool, policy: str, warmup_policy: str,
     return "+".join(parts)
 
 
-def _pool_context():
-    """Fork when the platform offers it: workers inherit ``sys.path``
-    (pytest injects ``src/`` without setting PYTHONPATH) and the warmed
-    import state. Falls back to the platform default elsewhere."""
-    import multiprocessing as mp
-    try:
-        return mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return mp.get_context()
-
-
 #: Fault-injection hook: when this env var names a ``workload:policy``
 #: pair, that point raises instead of simulating. It fires *inside* the
 #: per-point isolation below, so tests and the CI farm smoke can force a
@@ -155,17 +144,24 @@ def _point_error(spec, machine, name: str, variant: str,
 
 
 def _iter_group_points(task: Tuple) -> Iterator[Dict[str, Any]]:
-    """Simulate one workload group, yielding one outcome per policy.
+    """Simulate one sweep task, yielding one outcome per policy.
 
-    Module-level so it pickles into pool/farm workers. The task carries
+    A task is one point, or one workload's points under a shared
+    warmup. Module-level so it pickles into farm workers. The task
+    carries
     only picklable inputs (spec, machine params, policy *names*, sizes,
     the ledger *path*) — traces and checkpoints are rebuilt inside the
     worker because a lazily-materialised
     :class:`~repro.isa.trace.Trace` buffers a generator and cannot
     cross a process boundary.
 
+    Each point is one :func:`~repro.sim.measure` of a checkpoint fork
+    or of :func:`~repro.sim.warm_core`'s cold core.
+
     Each yielded outcome is a plain dict: successful points carry the
-    ``SimResult.to_dict()`` payload under ``"payload"``; a raising point
+    ``SimResult.to_dict()`` payload under ``"payload"`` (and, with
+    ``oracle``, the measured window's commit digest under
+    ``"commit_digest"``); a raising point
     is **isolated** — its outcome carries ``"error"``/``"traceback"``
     instead and the remaining policies of the group still run, so one
     bad point can no longer discard its siblings' completed work. The
@@ -246,16 +242,15 @@ def _iter_group_points(task: Tuple) -> Iterator[Dict[str, Any]]:
                     validate=validate, ledger=ledger,
                     warmup_mode=warmup_mode)
             if point_checkpoint is not None:
-                from repro.checkpoint import simulate_from
-                result = simulate_from(point_checkpoint, name,
-                                       instructions=instructions,
-                                       telemetry=telemetry,
-                                       validate=validate, oracle=oracle)
+                core = point_checkpoint.fork(name, validate=validate,
+                                             oracle=oracle)
+                if telemetry is not None:
+                    telemetry.attach(core)
             else:
-                result = simulate(spec, machine, name,
-                                  instructions=instructions,
-                                  warmup=warmup, telemetry=telemetry,
-                                  validate=validate, oracle=oracle)
+                core, _ = warm_core(spec, machine, name, warmup,
+                                    telemetry=telemetry, validate=validate,
+                                    oracle=oracle)
+            result = measure(core, instructions, spec.name)
         except Exception as e:
             import traceback
             tb = traceback.format_exc()
@@ -269,6 +264,7 @@ def _iter_group_points(task: Tuple) -> Iterator[Dict[str, Any]]:
             yield _point_error(spec, machine, name, variant, e, tb)
             continue
         wall_s = time.perf_counter() - t0
+        digest = {"commit_digest": core.oracle.digest()} if oracle else {}
         if telemetry is not None:
             path = os.path.join(
                 stats_dir,
@@ -280,7 +276,8 @@ def _iter_group_points(task: Tuple) -> Iterator[Dict[str, Any]]:
                               machine=result.machine, policy=result.policy,
                               variant=variant, wall_s=wall_s,
                               kips=round(kips, 2),
-                              ipc=round(result.ipc, 4), manifest=manifest)
+                              ipc=round(result.ipc, 4), manifest=manifest,
+                              **digest)
             ledger.worker_heartbeat(workload=spec.name,
                                     group_points=len(policy_names),
                                     done=done + 1)
@@ -289,12 +286,7 @@ def _iter_group_points(task: Tuple) -> Iterator[Dict[str, Any]]:
             "wall_s": round(wall_s, 3)}})
         yield {"workload": result.workload, "machine": result.machine,
                "policy": result.policy, "variant": variant,
-               "payload": result.to_dict()}
-
-
-def _run_group(task: Tuple) -> List[Dict[str, Any]]:
-    """One workload group, fully materialised (the serial path)."""
-    return list(_iter_group_points(task))
+               "payload": result.to_dict(), **digest}
 
 
 class MatrixResult(Dict[str, Dict[str, "SimResult"]]):
@@ -308,12 +300,15 @@ class MatrixResult(Dict[str, Dict[str, "SimResult"]]):
     and ``traceback``, and a ``quarantined`` flag for points the farm
     scheduler gave up on after repeated worker deaths. Callers that
     want the old fail-loudly behaviour chain
-    :meth:`raise_if_failed`.
+    :meth:`raise_if_failed`. A sweep run with ``oracle=True`` also
+    records ``commit_digests[(policy, workload)]``: the commit oracle's
+    digest of each point it measured (cache-satisfied points have none).
     """
 
     def __init__(self, *args: Any, **kwargs: Any):
         super().__init__(*args, **kwargs)
         self.failures: List[Dict[str, Any]] = []
+        self.commit_digests: Dict[Tuple[str, str], str] = {}
 
     @property
     def ok(self) -> bool:
@@ -404,9 +399,10 @@ class ExperimentRunner:
     ) -> "MatrixResult":
         """Sweep the full matrix; returns policy name -> workload -> result.
 
-        Points are grouped by workload. With ``share_warmup`` each group
-        warms **once** under ``warmup_policy`` and forks the checkpoint
-        for every measured policy — an explicit approximation (warmup
+        Each point is one task. With ``share_warmup`` a workload's
+        points are instead one task that warms **once** under
+        ``warmup_policy`` and forks the checkpoint for every measured
+        policy — an explicit approximation (warmup
         behaviour is policy-dependent), cached under a ``sw:`` variant
         key so it never collides with exact per-policy runs.
         ``warmup_mode="fast"`` replaces the detailed warmup with the
@@ -420,19 +416,21 @@ class ExperimentRunner:
         cached points satisfied from the cache were not re-checked.
         ``oracle`` likewise lockstep-checks every point's retirement
         stream against the architectural oracle
-        (:mod:`repro.validate.oracle`), also bit-identical.
+        (:mod:`repro.validate.oracle`), also bit-identical, and records
+        each measured point's commit digest in the result's
+        ``commit_digests`` and its ``point_done`` ledger event.
 
-        With ``jobs > 1`` groups fan out across the crash-tolerant farm
+        With ``jobs > 1`` tasks fan out across the crash-tolerant farm
         scheduler (:class:`~repro.analysis.farm.FarmScheduler`): results
-        stream back per point (no barrier at group boundaries), work
+        stream back per point (no barrier at task boundaries), work
         held by a SIGKILLed worker is requeued with bounded retries, and
         points that repeatedly kill their worker are quarantined. A
-        raising point is isolated by the group runner either way and
+        raising point is isolated by the task runner either way and
         reported in the returned :class:`MatrixResult`'s ``failures``
         instead of tearing the sweep down.
 
         The in-memory/disk cache is the merge point. Disk flushes are
-        incremental — after every point in farm mode, after every group
+        incremental — after every point in farm mode, after every task
         serially — and idempotent (keyed, read-merge-write), so a crash
         mid-sweep preserves every completed point and a requeued retry
         merges over its own partial flush harmlessly.
@@ -508,12 +506,15 @@ class ExperimentRunner:
                                 warmup_mode=warmup_mode))
                 else:
                     missing.append(pol.name)
-            if missing:
-                tasks.append((spec, machine, tuple(missing),
-                              self.instructions, self.warmup, share_warmup,
-                              wp.name, stats_dir, validate, oracle,
-                              ledger.path if ledger is not None else None,
-                              warmup_mode))
+            # A shared warmup is one task per workload; otherwise every
+            # point is its own task, so one workload still fans out.
+            groups = ([tuple(missing)] if share_warmup and missing
+                      else [(name,) for name in missing])
+            tasks.extend((spec, machine, group, self.instructions,
+                          self.warmup, share_warmup, wp.name, stats_dir,
+                          validate, oracle,
+                          ledger.path if ledger is not None else None,
+                          warmup_mode) for group in groups)
         if not tasks:
             if ledger is not None:
                 ledger.sweep_done(elapsed_s=time.perf_counter() - t_start,
@@ -538,6 +539,9 @@ class ExperimentRunner:
                     n_run += 1
                 self._cache[key] = result
                 out.setdefault(result.policy, {})[result.workload] = result
+                if "commit_digest" in outcome:
+                    out.commit_digests[(result.policy, result.workload)] = \
+                        outcome["commit_digest"]
             else:
                 out.failures.append({
                     "workload": outcome["workload"],

@@ -5,8 +5,9 @@ down the sweep, a SIGKILLed/OOMed worker must not lose completed work,
 and every completed point must survive an orchestrator crash.
 :class:`FarmScheduler` is that execution layer: a worker pool built on
 ``multiprocessing.Process`` + duplex pipes instead of ``Pool.map``.
-Workload groups are dispatched to workers which stream results back
-**per point** (no barrier at group boundaries — the ``imap_unordered``
+Sweep tasks (one point, or a shared-warmup workload group) are
+dispatched to workers which stream results back
+**per point** (no barrier at task boundaries — the ``imap_unordered``
 streaming shape, plus liveness). Worker death is detected as EOF on the
 worker's pipe; the dead worker's *undelivered* points are requeued with
 a bounded retry budget, and a point that repeatedly kills its worker is
@@ -22,7 +23,7 @@ that point, and the idempotent keyed cache merge absorbs the duplicate.
 Results are bit-identical to the serial path — each point runs the very
 same :func:`~repro.analysis.experiments._iter_group_points` code
 whichever process executes it, which is what keeps the golden
-fingerprints scheduling-independent.
+fingerprints (measured through ``run_matrix``) scheduling-independent.
 
 Fault injection for tests and the CI farm-smoke job (all opt-in via
 environment variables, inert otherwise):
@@ -68,6 +69,17 @@ DEFAULT_MAX_RETRIES = 2
 
 
 # --------------------------------------------------------------- worker
+
+def _pool_context():
+    """Fork when the platform offers it: workers inherit ``sys.path``
+    (pytest injects ``src/`` without setting PYTHONPATH) and the warmed
+    import state. Falls back to the platform default elsewhere."""
+    import multiprocessing as mp
+    try:
+        return mp.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return mp.get_context()
+
 
 def _chaos_maybe_kill(workload: str, policy: str) -> None:
     """Opt-in crash injection, checked before each point (see module
@@ -198,7 +210,7 @@ class FarmScheduler:
             from repro.obs.ledger import RunLedger
             ledger = RunLedger(ledger)
         self.ledger = ledger
-        self._ctx = _exp._pool_context()
+        self._ctx = _pool_context()
         self._workers: List[_Worker] = []
         self._log_queue = None
         self._listener = None

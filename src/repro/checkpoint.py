@@ -88,7 +88,6 @@ class Checkpoint:
     policy: RunaheadPolicy          # the policy warmup ran under
     warmup: int
     seed: Optional[int]
-    record_ace_intervals: bool
     trace: Trace                    # shared, append-only — never copied
     warmup_mode: str = DEFAULT_WARMUP_MODE  # how warmup was produced
     _blob: Dict[str, Any] = field(repr=False, default_factory=dict)
@@ -118,7 +117,6 @@ class Checkpoint:
         blob = copy.deepcopy(raw, memo)
         return cls(workload=workload, machine=core.machine,
                    policy=core.policy, warmup=warmup, seed=seed,
-                   record_ace_intervals=core.record_ace_intervals,
                    trace=core.trace,
                    warmup_mode=validate_warmup_mode(warmup_mode),
                    _blob=blob)
@@ -157,7 +155,6 @@ class Checkpoint:
             setattr(core.stats, attr, value)
 
     def fork(self, policy: Union[RunaheadPolicy, str, None] = None,
-             record_ace_intervals: Optional[bool] = None,
              validate: bool = False,
              oracle: bool = False) -> OutOfOrderCore:
         """A fresh core carrying this checkpoint's warmed state.
@@ -175,13 +172,9 @@ class Checkpoint:
             policy = self.policy
         elif isinstance(policy, str):
             policy = get_policy(policy)
-        if record_ace_intervals is None:
-            record_ace_intervals = self.record_ace_intervals
         core_seed = 0 if self.seed is None else self.seed
         core = OutOfOrderCore(self.machine, self.trace, policy,
-                              seed=core_seed,
-                              record_ace_intervals=record_ace_intervals,
-                              validate=validate)
+                              seed=core_seed, validate=validate)
         self.restore_into(core)
         if oracle:
             from repro.validate.oracle import attach_oracle
@@ -195,7 +188,6 @@ def warm_checkpoint(
     policy: Union[RunaheadPolicy, str] = OOO,
     warmup: int = DEFAULT_WARMUP,
     seed: Optional[int] = None,
-    record_ace_intervals: bool = False,
     validate: bool = False,
     ledger=None,
     warmup_mode: str = DEFAULT_WARMUP_MODE,
@@ -225,7 +217,6 @@ def warm_checkpoint(
         from repro.obs.ledger import RunLedger
         ledger = RunLedger(ledger)
     core, name = build_core(workload, machine, policy, seed,
-                            record_ace_intervals=record_ace_intervals,
                             validate=validate)
     t0 = time.perf_counter()
     if warmup > 0:
@@ -255,7 +246,6 @@ def simulate_from(
     telemetry=None,
     validate: bool = False,
     oracle: bool = False,
-    ledger=None,
 ) -> SimResult:
     """Measure ``instructions`` starting from a warmed checkpoint.
 
@@ -265,43 +255,11 @@ def simulate_from(
     checkpoint.warmup, checkpoint.seed)``. A different ``policy`` forks
     the same warmed state under new control logic — the shared-warmup
     approximation.
-
-    ``ledger`` records the fork's ``point_start``/``point_done`` (with
-    wall seconds, KIPS and the per-point provenance manifest) for
-    direct API users; ``ExperimentRunner.run_matrix`` emits its own
-    richer events instead, so it does not pass the ledger down here.
     """
-    import time
-
-    if instructions <= 0:
-        raise ValueError("instructions must be positive")
-    if isinstance(ledger, str):
-        from repro.obs.ledger import RunLedger
-        ledger = RunLedger(ledger)
-    pol = checkpoint.policy if policy is None else (
-        get_policy(policy) if isinstance(policy, str) else policy)
-    if ledger is not None:
-        ledger.point_start(workload=checkpoint.workload,
-                           machine=checkpoint.machine.name, policy=pol.name)
-    core = checkpoint.fork(pol, validate=validate, oracle=oracle)
+    core = checkpoint.fork(policy, validate=validate, oracle=oracle)
     if telemetry is not None:
         telemetry.attach(core)
-    t0 = time.perf_counter()
-    result = measure(core, instructions, checkpoint.workload)
-    wall_s = time.perf_counter() - t0
-    if ledger is not None:
-        from repro.obs.manifest import point_manifest
-        kips = (result.instructions / wall_s / 1000.0) if wall_s else 0.0
-        ledger.point_done(
-            workload=result.workload, machine=result.machine,
-            policy=result.policy, wall_s=wall_s, kips=round(kips, 2),
-            ipc=round(result.ipc, 4),
-            manifest=point_manifest(result.workload, checkpoint.machine,
-                                    result.policy, instructions,
-                                    checkpoint.warmup,
-                                    seed=checkpoint.seed,
-                                    warmup_mode=checkpoint.warmup_mode))
-    return result
+    return measure(core, instructions, checkpoint.workload)
 
 
 class CheckpointCache:

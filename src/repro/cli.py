@@ -15,7 +15,7 @@ Subcommands:
     diff                 differential check: one point through every
                          execution path (facade/fork), bit-diffed
     golden               golden conformance fingerprints for the
-                         25-point baseline: --check or --regen
+                         45-point grid: --check or --regen
     memval               validate every DRAM protocol preset's measured
                          latency/bandwidth against its analytic spec
     warmval              cross-validate fast (functional) warmup against
@@ -218,7 +218,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(render_ledger_report(events, path=args.path))
         return 1 if check_complete(events) else 0
     from repro.obs import load_stats, render_report
-    print(render_report(load_stats(args.path)))
+    try:
+        stats = load_stats(args.path)
+    except ValueError as e:
+        print(f"report failed: {e}", file=sys.stderr)
+        return 1
+    print(render_report(stats))
     return 0
 
 
@@ -438,8 +443,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
     report = differential_check(
         args.workload, MACHINES[args.machine], args.policy,
         instructions=args.instructions, warmup=args.warmup,
-        seed=args.seed, paths=args.paths,
-        bisect_interval=args.bisect_interval, validate=args.validate)
+        seed=args.seed, bisect_interval=args.bisect_interval,
+        validate=args.validate)
     print(report.summary())
     if args.out:
         from repro.common.io import atomic_write_json
@@ -452,13 +457,13 @@ def cmd_golden(args: argparse.Namespace) -> int:
     from repro.validate.golden import check_golden, check_scenarios, \
         golden_points, regen_golden, regen_scenarios, scenario_points
 
+    total = len(golden_points()) + len(scenario_points())
     if args.regen:
         written = regen_golden(args.dir, jobs=args.jobs,
                                instructions=args.instructions,
                                warmup=args.warmup, ledger=args.ledger)
         written.append(regen_scenarios(args.dir, jobs=args.jobs,
                                        ledger=args.ledger))
-        total = len(golden_points()) + len(scenario_points())
         print(f"froze {total} golden points:")
         for path in written:
             print(f"  {path}")
@@ -473,7 +478,6 @@ def cmd_golden(args: argparse.Namespace) -> int:
         print("if the change is intended, refreeze with "
               "`python -m repro golden --regen` and review the diff")
         return 1
-    total = len(golden_points()) + len(scenario_points())
     print(f"golden check OK: {total} points conformant")
     return 0
 
@@ -631,17 +635,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_size_args(p)
     _add_warmup_mode_arg(p)
 
-    from repro.validate.diff import PATHS
     p = sub.add_parser(
         "diff", help="differential check across execution paths")
     p.add_argument("workload")
     p.add_argument("policy", nargs="?", default="RAR")
     p.add_argument("-m", "--machine", default="baseline",
                    choices=sorted(MACHINES))
-    p.add_argument("--paths", nargs="+", default=list(PATHS),
-                   choices=PATHS, metavar="PATH",
-                   help="execution paths to compare; the first is the "
-                        "reference (default: facade fork)")
     p.add_argument("--seed", type=int, default=None,
                    help="trace/wrong-path seed (default: workload's)")
     p.add_argument("--bisect-interval", type=int, default=500, metavar="N",
@@ -655,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_size_args(p)
 
     p = sub.add_parser(
-        "golden", help="golden conformance fingerprints (25-point baseline)")
+        "golden", help="golden conformance fingerprints (45-point grid)")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--check", action="store_true",
                       help="re-measure and diff against the frozen files")
@@ -664,7 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", default="tests/golden", metavar="DIR",
                    help="golden file directory (default tests/golden)")
     p.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
-                   help="worker processes, one point per task (default 1)")
+                   help="farm worker processes, one point per task "
+                        "(default 1)")
     p.add_argument("-n", "--instructions", type=int, default=3000,
                    help="measured instructions when regenerating "
                         "(default 3000; --check uses the frozen files')")
@@ -672,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="warmup instructions when regenerating "
                         "(default 3000; --check uses the frozen files')")
     p.add_argument("--ledger", metavar="FILE",
-                   help="record per-point measurement events to a JSONL "
+                   help="append each grid row's sweep events to a JSONL "
                         "run ledger (observational; fingerprints are "
                         "bit-identical with or without)")
 

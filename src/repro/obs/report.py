@@ -15,8 +15,13 @@ __all__ = ["load_stats", "render_report"]
 
 
 def load_stats(path: str) -> Dict[str, Any]:
+    """Read a stats file; a truncated or non-JSON file raises
+    ``ValueError`` naming ``path``."""
     with open(path) as f:
-        obj = json.load(f)
+        try:
+            obj = json.load(f)
+        except ValueError as e:
+            raise ValueError(f"{path}: not a JSON stats file ({e})") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: not a stats object")
     return obj

@@ -19,9 +19,9 @@ Usage::
     print(tele.profiler.kips, "KIPS")
 """
 
-import json
 from typing import Any, Dict, Optional
 
+from repro.common.io import atomic_write_json
 from repro.obs.profiler import HostProfiler
 from repro.obs.sampler import IntervalSampler
 from repro.obs.tracer import EventTracer
@@ -200,9 +200,10 @@ class Telemetry:
         return out
 
     def write_stats(self, path: str, result=None, manifest=None) -> None:
-        with open(path, "w") as f:
-            json.dump(self.stats_dict(result, manifest=manifest), f,
-                      indent=1)
+        """Write :meth:`stats_dict` to ``path`` atomically: a reader
+        never sees a torn file, even if the writer dies mid-write."""
+        atomic_write_json(path, self.stats_dict(result, manifest=manifest),
+                          indent=1)
 
     def write_trace(self, path: str, label: Optional[str] = None) -> None:
         if self.tracer is None:

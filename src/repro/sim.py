@@ -137,13 +137,35 @@ def simulate(
             (:mod:`repro.validate.oracle`); any retirement-semantics
             drift raises
             :class:`~repro.validate.oracle.OracleViolation`. Purely
-            observational, bit-identical with or without.
+            observational, bit-identical with or without. The oracle's
+            commit digest covers the measured window only.
 
     Returns:
         a :class:`SimResult` with the measured window's statistics.
     """
-    if instructions <= 0:
+    if instructions <= 0:  # fail before the warmup, not after it
         raise ValueError("instructions must be positive")
+    core, name = warm_core(workload, machine, policy, warmup, seed,
+                           telemetry=telemetry, validate=validate,
+                           oracle=oracle)
+    return measure(core, instructions, name)
+
+
+def warm_core(
+    workload: Union[WorkloadSpec, Trace, str],
+    machine: MachineParams,
+    policy: Union[RunaheadPolicy, str],
+    warmup: int = DEFAULT_WARMUP,
+    seed: Optional[int] = None,
+    telemetry=None,
+    validate: bool = False,
+    oracle: bool = False,
+) -> Tuple[OutOfOrderCore, str]:
+    """The front half of :func:`simulate`, also measured directly by the
+    sweep runner: :func:`build_core`, the commit oracle when ``oracle``
+    is set (it checks the warmup retirements too), then ``warmup``
+    detailed commits. Returns ``(core, workload name)`` for
+    :func:`measure`."""
     core, name = build_core(workload, machine, policy, seed,
                             telemetry=telemetry, validate=validate)
     if oracle:
@@ -152,7 +174,7 @@ def simulate(
         attach_oracle(core)
     if warmup > 0:
         core.run(warmup)
-    return measure(core, instructions, name)
+    return core, name
 
 
 def build_core(
@@ -164,7 +186,7 @@ def build_core(
 ) -> Tuple[OutOfOrderCore, str]:
     """Build the cold core of one point; returns ``(core, workload name)``.
 
-    The build sequence shared by :func:`simulate` and
+    The build sequence shared by :func:`warm_core` and
     :func:`repro.checkpoint.warm_checkpoint`: resolve the workload and
     the policy, build the trace under ``seed``, construct the core and
     preload the workload's resident regions. A bare :class:`Trace` is
@@ -197,15 +219,22 @@ def measure(core: OutOfOrderCore, instructions: int,
     """Measure the next ``instructions`` commits of ``core``.
 
     The measure sequence shared by :func:`simulate`,
-    :func:`repro.checkpoint.simulate_from` and the golden tier: open the
-    attached telemetry's measurement window, run, take the result as the
-    delta over the window, run the end-of-run checks of the invariant
-    sanitizer and the commit oracle when they are attached, and close
-    the telemetry window. ``name`` labels the result's workload.
+    :func:`repro.checkpoint.simulate_from` and the sweep runner: open
+    the attached telemetry's measurement window and restart the attached
+    commit oracle's digest, run, take the result as the delta over the
+    window, run the end-of-run checks of the invariant sanitizer and the
+    commit oracle when they are attached, and close the telemetry
+    window. ``name`` labels the result's workload. After it returns,
+    ``core.oracle.digest()`` covers exactly the measured window, whether
+    the oracle rode through the warmup or was attached to a fork.
     """
+    if instructions <= 0:
+        raise ValueError("instructions must be positive")
     telemetry = core.telemetry
     if telemetry is not None:
         telemetry.begin_measurement(core)
+    if core.oracle is not None:
+        core.oracle.open_window()
     start = _snapshot(core)
     core.run(instructions)
     result = _delta_result(core, start, name)

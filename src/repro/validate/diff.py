@@ -9,22 +9,25 @@ policy, seed) point:
   :func:`repro.checkpoint.simulate_from` under the same policy, which
   the checkpoint layer contracts to be bit-identical to the cold run.
 
+The sweep runner, and so the golden tier, measures every point through
+one of these two sequences.
+
 The farm's pickled round trip (``run_matrix(jobs=N)``) is checked
 against the serial sweep by ``tests/analysis/test_farm.py`` and
 ``tools/farm_smoke.py``.
 
-:func:`differential_check` runs the requested paths, diffs the full
-:meth:`~repro.sim.SimResult.to_dict` payloads field by field, and — on
-divergence — re-runs the divergent pair with an interval-sampler
-timeline (rows align to the global cycle grid, so two bit-identical runs
-produce identical rows; the sampler rides the same run loop as the
-untimed run) and bisects to the *first* differing interval,
-turning "the end states differ" into "they first disagree at cycle C in
-field F". Exposed on the command line as ``repro diff``.
+:func:`differential_check` runs both paths, diffs the full
+:meth:`~repro.sim.SimResult.to_dict` payloads field by field with the
+facade as the reference, and — on divergence — re-runs the pair with
+an interval-sampler timeline (rows align to the global cycle grid, so
+two bit-identical runs produce identical rows; the sampler rides the
+same run loop as the untimed run) and bisects to the *first* differing
+interval, turning "the end states differ" into "they first disagree at
+cycle C in field F". Exposed on the command line as ``repro diff``.
 """
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.common.params import (
     DEFAULT_INSTRUCTIONS,
@@ -35,7 +38,7 @@ from repro.common.params import (
 __all__ = ["DiffReport", "Divergence", "FieldDiff", "PATHS",
            "differential_check"]
 
-#: Execution paths the harness knows how to drive.
+#: Execution paths the harness drives; the first is the reference.
 PATHS = ("facade", "fork")
 
 
@@ -73,7 +76,7 @@ class Divergence:
 
 @dataclass
 class DiffReport:
-    """Outcome of one differential check over a set of paths."""
+    """Outcome of one differential check over :data:`PATHS`."""
 
     workload: str
     machine: str
@@ -81,7 +84,6 @@ class DiffReport:
     instructions: int
     warmup: int
     seed: Optional[int]
-    paths: Tuple[str, ...]
     results: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     divergences: List[Divergence] = field(default_factory=list)
 
@@ -97,7 +99,7 @@ class DiffReport:
             "instructions": self.instructions,
             "warmup": self.warmup,
             "seed": self.seed,
-            "paths": list(self.paths),
+            "paths": list(PATHS),
             "identical": self.identical,
             "results": self.results,
             "divergences": [d.to_dict() for d in self.divergences],
@@ -106,7 +108,7 @@ class DiffReport:
     def summary(self) -> str:
         head = (f"{self.workload}/{self.machine}/{self.policy} "
                 f"({self.instructions} insts, warmup {self.warmup}, "
-                f"seed {self.seed}): paths {', '.join(self.paths)}")
+                f"seed {self.seed}): paths {', '.join(PATHS)}")
         if self.identical:
             return head + " -> bit-identical"
         lines = [head + " -> DIVERGED"]
@@ -219,64 +221,50 @@ def differential_check(
     instructions: int = DEFAULT_INSTRUCTIONS,
     warmup: int = DEFAULT_WARMUP,
     seed: Optional[int] = None,
-    paths: Sequence[str] = PATHS,
     bisect_interval: int = 500,
     validate: bool = False,
 ) -> DiffReport:
-    """Run one point through every requested path and diff the results.
+    """Run one point through both paths and diff the results.
 
     Args:
         workload: catalog name or :class:`WorkloadSpec`.
         machine: machine configuration.
         policy: policy name or :class:`RunaheadPolicy`.
         instructions / warmup / seed: the point's run coordinates,
-            shared verbatim by every path.
-        paths: subset of :data:`PATHS`, at least two; the first is the
-            reference the others are diffed against.
+            shared verbatim by both paths.
         bisect_interval: stats-timeline period (cycles) used to localise
             a divergence; 0 skips bisection.
-        validate: additionally run every path under the invariant
+        validate: additionally run both paths under the invariant
             sanitizer (:mod:`repro.validate.invariants`).
 
     Returns:
         a :class:`DiffReport`; ``report.identical`` is the verdict.
     """
-    paths = tuple(paths)
-    unknown = [p for p in paths if p not in PATHS]
-    if unknown:
-        raise ValueError(f"unknown path(s) {unknown}; choose from {PATHS}")
-    if len(paths) < 2:
-        raise ValueError("need at least two paths to diff")
     policy_name = policy if isinstance(policy, str) else policy.name
     workload_name = (workload if isinstance(workload, str)
                      else workload.name)
 
-    results: Dict[str, Dict[str, Any]] = {}
-    for p in paths:
-        results[p] = _run_point(p, workload, machine, policy_name,
-                                instructions, warmup, seed,
-                                validate)["result"]
+    results = {p: _run_point(p, workload, machine, policy_name,
+                             instructions, warmup, seed, validate)["result"]
+               for p in PATHS}
 
-    ref = paths[0]
+    ref, other = PATHS
     divergences: List[Divergence] = []
-    for other in paths[1:]:
-        fields = _diff_payloads(results[ref], results[other])
-        if not fields:
-            continue
+    fields = _diff_payloads(results[ref], results[other])
+    if fields:
         div = Divergence(ref_path=ref, other_path=other, fields=fields)
         if bisect_interval > 0:
-            # Re-run only the divergent pair, now with a timeline, and
-            # pin the first interval at which the two runs disagree.
-            ref_tl = _run_point(ref, workload, machine, policy_name,
-                                instructions, warmup, seed, validate,
-                                interval=bisect_interval)["timeline"]
-            other_tl = _run_point(other, workload, machine, policy_name,
-                                  instructions, warmup, seed, validate,
-                                  interval=bisect_interval)["timeline"]
+            # Re-run the pair, now with a timeline, and pin the first
+            # interval at which the two runs disagree.
+            ref_tl, other_tl = (
+                _run_point(p, workload, machine, policy_name, instructions,
+                           warmup, seed, validate,
+                           interval=bisect_interval)["timeline"]
+                for p in PATHS)
             div.first_interval = _bisect_timeline(ref_tl, other_tl)
         divergences.append(div)
 
     return DiffReport(workload=workload_name, machine=machine.name,
                       policy=policy_name, instructions=instructions,
-                      warmup=warmup, seed=seed, paths=paths,
-                      results=results, divergences=divergences)
+                      warmup=warmup, seed=seed, results=results,
+                      divergences=divergences)

@@ -1,4 +1,4 @@
-"""Golden conformance fingerprints for the 25-point baseline matrix.
+"""Golden conformance fingerprints for the 45-point conformance grid.
 
 The performance contract (docs/performance.md) already freezes the
 25-point baseline — mcf on the five machine generations under the five
@@ -11,14 +11,18 @@ semantics — intended or not — shows up as a fingerprint diff, reviewed
 like any other code change (the SimPoint/gem5 "golden outputs"
 workflow).
 
-Every point is measured the same way regardless of parallelism: warm a
-checkpoint under the measured policy, fork it with the commit oracle
-attached, and measure the fork. Forking a checkpoint warmed under the
-same policy is bit-identical to a cold run (the checkpoint contract),
-so ``--jobs 1`` and ``--jobs 4`` take the identical code path per point
-and the fingerprints cannot depend on scheduling.
+Every point is measured by the sweep runner: each row of a grid (one
+machine, or one scenario) is one
+``ExperimentRunner.run_matrix(..., oracle=True)`` sweep over the five
+policies, so golden runs the very point sequence every ``repro sweep``
+runs — a cold core warmed under the measured policy with the commit
+oracle checking every retirement, then measured. The commit digest
+covers the measured window. ``--jobs 1`` measures serially and
+``--jobs N`` on the crash-tolerant farm, one task per point; each point
+runs identical code in whichever process, so the fingerprints cannot
+depend on scheduling.
 
-Alongside the baseline matrix, a *scenario* grid
+Alongside the 25-point baseline matrix, a 20-point *scenario* grid
 (``tests/golden/scenarios.json``) freezes the trace-ingestion and
 phased-workload paths: two bundled raw traces (ChampSim and gem5 text
 fixtures under ``tests/isa/fixtures/``, re-imported at measure time so
@@ -36,7 +40,7 @@ Command line::
 import hashlib
 import json
 import os
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.params import BASELINE, CORE1, CORE2, CORE3, CORE4, \
     MachineParams
@@ -54,8 +58,6 @@ __all__ = [
     "check_golden",
     "check_scenarios",
     "golden_points",
-    "measure_point",
-    "measure_scenario",
     "regen_golden",
     "regen_scenarios",
     "scenario_points",
@@ -146,129 +148,38 @@ def canonical_fingerprint(payload: Any) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _measure(workload, label: str, machine: MachineParams,
-             machine_label: str, policy: str, instructions: int,
-             warmup: int, ledger=None) -> Dict[str, Any]:
-    """Measure one point (workload object or catalog name) and return
-    its frozen entry.
-
-    Always runs via warm-checkpoint + oracle'd fork (see module
-    docstring), so the entry is the same whichever process measures it.
-    ``ledger`` (a path or :class:`~repro.obs.ledger.RunLedger`) records
-    the measurement's point events; the fingerprint is bit-identical
-    with or without it.
-    """
-    import time
-
-    from repro.checkpoint import warm_checkpoint
-    from repro.sim import measure
-
-    if isinstance(ledger, str):
-        from repro.obs.ledger import RunLedger
-        ledger = RunLedger(ledger)
-    if ledger is not None:
-        ledger.point_start(workload=label, machine=machine_label,
-                           policy=policy)
-    t0 = time.perf_counter()
-    cp = warm_checkpoint(workload, machine, policy, warmup=warmup)
-    core = cp.fork(oracle=True)
-    result = measure(core, instructions, cp.workload)
-    wall_s = time.perf_counter() - t0
-    digest = core.oracle.digest()
-    fingerprint = canonical_fingerprint(
-        {"result": result.to_dict(), "commit_digest": digest})
-    if ledger is not None:
-        from repro.obs.manifest import point_manifest
-        kips = (result.instructions / wall_s / 1000.0) if wall_s else 0.0
-        ledger.point_done(
-            workload=label, machine=machine_label, policy=policy,
-            wall_s=wall_s, kips=round(kips, 2), ipc=round(result.ipc, 4),
-            fingerprint=fingerprint,
-            manifest=point_manifest(label, machine, policy,
-                                    instructions, warmup))
-    return {
-        "fingerprint": fingerprint,
-        "commit_digest": digest,
-        # Informational context so a fingerprint diff is reviewable
-        # without rerunning — never part of the hash input above.
-        "ipc": result.ipc,
-        "cycles": result.cycles,
-        "abc_total": result.abc_total,
-    }
-
-
-def measure_point(machine_name: str, policy: str,
-                  instructions: int = GOLDEN_INSTRUCTIONS,
-                  warmup: int = GOLDEN_WARMUP,
-                  ledger=None) -> Dict[str, Any]:
-    """Measure one baseline-matrix point (mcf on ``machine_name``)."""
-    return _measure(GOLDEN_WORKLOAD, GOLDEN_WORKLOAD,
-                    GOLDEN_MACHINES[machine_name], machine_name, policy,
-                    instructions, warmup, ledger=ledger)
-
-
-def measure_scenario(scenario: str, policy: str,
-                     instructions: Optional[int] = None,
-                     warmup: Optional[int] = None,
-                     ledger=None) -> Dict[str, Any]:
-    """Measure one scenario point (trace fixture / phased workload on
-    the baseline machine)."""
-    default_n, default_w = GOLDEN_SCENARIOS[scenario]
-    return _measure(scenario_workload(scenario), scenario, BASELINE,
-                    "baseline", policy,
-                    default_n if instructions is None else instructions,
-                    default_w if warmup is None else warmup,
-                    ledger=ledger)
-
-
-def _grid_task(task: Tuple[Callable[..., Dict[str, Any]], str, str, int,
-                          int, Optional[str]],
-               ) -> Tuple[str, str, Dict[str, Any]]:
-    """Pool worker: one point per task for even load balance."""
-    measure, row, policy, instructions, warmup, ledger_path = task
-    return row, policy, measure(row, policy, instructions, warmup,
-                                ledger=ledger_path)
-
-
-def _measure_grid(measure: Callable[..., Dict[str, Any]],
-                  sizes: Dict[str, Tuple[int, int]], jobs: int,
-                  ledger: Optional[str], envelope: Dict[str, Any],
+def _measure_grid(rows: Dict[str, Tuple[Any, MachineParams, int, int]],
+                  jobs: int, ledger: Optional[str],
                   ) -> Dict[str, Dict[str, Dict[str, Any]]]:
     """Measure every (row, policy) point; returns row -> policy -> entry.
 
-    ``measure`` is :func:`measure_point` (rows are machines) or
-    :func:`measure_scenario` (rows are scenarios); ``sizes`` maps each
-    row to its (instructions, warmup). With ``ledger`` set, the grid
-    measurement is wrapped in a ``sweep_start``/``sweep_done`` envelope
-    (``envelope`` holds the grid's own ``sweep_start`` fields) and each
-    point appends its events — so a conformance run is monitorable with
-    ``repro top`` and auditable post mortem like any sweep.
+    ``rows`` maps each row (a machine or a scenario name) to its
+    (workload, machine, instructions, warmup). Each row is one
+    ``run_matrix`` sweep of :data:`GOLDEN_POLICIES` with the commit
+    oracle on, on the farm when ``jobs > 1``; with ``ledger`` every row
+    records its sweep in the run ledger, auditable like any sweep.
     """
-    import time
+    from repro.analysis.experiments import ExperimentRunner
 
-    from repro.analysis.experiments import _pool_context
-
-    tasks = [(measure, row, p, n, w, ledger)
-             for row, (n, w) in sizes.items() for p in GOLDEN_POLICIES]
-    run_ledger = None
-    if ledger:
-        from repro.obs.ledger import RunLedger
-        from repro.obs.manifest import host_manifest
-        run_ledger = RunLedger(ledger)
-        run_ledger.sweep_start(total_points=len(tasks),
-                               manifest=host_manifest(), **envelope)
-    t0 = time.perf_counter()
-    if jobs > 1:
-        with _pool_context().Pool(min(jobs, len(tasks))) as pool:
-            measured = pool.map(_grid_task, tasks)
-    else:
-        measured = [_grid_task(t) for t in tasks]
     out: Dict[str, Dict[str, Dict[str, Any]]] = {}
-    for row, policy, entry in measured:
-        out.setdefault(row, {})[policy] = entry
-    if run_ledger is not None:
-        run_ledger.sweep_done(elapsed_s=time.perf_counter() - t0,
-                              points_run=len(tasks), points_cached=0)
+    for row, (workload, machine, instructions, warmup) in rows.items():
+        matrix = ExperimentRunner(instructions, warmup).run_matrix(
+            [workload], machine, GOLDEN_POLICIES, jobs=jobs, oracle=True,
+            ledger=ledger).raise_if_failed()
+        out[row] = {}
+        for policy in GOLDEN_POLICIES:
+            (result,) = matrix[policy].values()
+            digest = matrix.commit_digests[(policy, result.workload)]
+            out[row][policy] = {
+                "fingerprint": canonical_fingerprint(
+                    {"result": result.to_dict(), "commit_digest": digest}),
+                "commit_digest": digest,
+                # Informational context so a fingerprint diff is
+                # reviewable without rerunning — never hashed above.
+                "ipc": result.ipc,
+                "cycles": result.cycles,
+                "abc_total": result.abc_total,
+            }
     return out
 
 
@@ -277,11 +188,8 @@ def _measure_all(jobs: int, instructions: int, warmup: int,
                  ) -> Dict[str, Dict[str, Dict[str, Any]]]:
     """Measure the baseline grid; returns machine -> policy -> entry."""
     return _measure_grid(
-        measure_point, {m: (instructions, warmup) for m in GOLDEN_MACHINES},
-        jobs, ledger, dict(workload=GOLDEN_WORKLOAD,
-                           machines=list(GOLDEN_MACHINES),
-                           policies=list(GOLDEN_POLICIES), jobs=jobs,
-                           instructions=instructions, warmup=warmup))
+        {name: (GOLDEN_WORKLOAD, machine, instructions, warmup)
+         for name, machine in GOLDEN_MACHINES.items()}, jobs, ledger)
 
 
 def _machine_path(directory: str, machine_name: str) -> str:
@@ -368,11 +276,19 @@ def check_golden(directory: str = GOLDEN_DIR,
     if not frozen:
         return problems
 
-    grid = _measure_all(jobs, instructions, warmup, ledger=ledger)
-    for machine_name, points in frozen.items():
+    return problems + _drift(
+        frozen, _measure_all(jobs, instructions, warmup, ledger=ledger))
+
+
+def _drift(frozen: Dict[str, Dict[str, Dict[str, Any]]],
+           grid: Dict[str, Dict[str, Dict[str, Any]]]) -> List[str]:
+    """One line per frozen (row, policy) entry whose fingerprint the
+    re-measured ``grid`` does not reproduce."""
+    problems: List[str] = []
+    for row, points in frozen.items():
         for policy in GOLDEN_POLICIES:
             want = points[policy]
-            got = grid[machine_name][policy]
+            got = grid[row][policy]
             if got["fingerprint"] != want["fingerprint"]:
                 detail = (f"commit digest also drifted "
                           f"({want['commit_digest'][:12]} -> "
@@ -380,7 +296,7 @@ def check_golden(directory: str = GOLDEN_DIR,
                           if got["commit_digest"] != want["commit_digest"]
                           else "commit digest unchanged (timing-only drift)")
                 problems.append(
-                    f"{machine_name}/{policy}: fingerprint "
+                    f"{row}/{policy}: fingerprint "
                     f"{want['fingerprint'][:12]} -> "
                     f"{got['fingerprint'][:12]}; ipc {want['ipc']:.4f} -> "
                     f"{got['ipc']:.4f}, cycles {want['cycles']} -> "
@@ -394,15 +310,11 @@ def _measure_scenarios(jobs: int,
                        sizes: Dict[str, Tuple[int, int]],
                        ledger: Optional[str] = None,
                        ) -> Dict[str, Dict[str, Dict[str, Any]]]:
-    """Measure the scenario grid; returns scenario -> policy -> entry.
-
-    ``sizes`` maps scenario -> (instructions, warmup) — the module
-    defaults on regen, the frozen file's recorded sizes on check.
-    """
+    """Measure the scenario grid at ``sizes`` (scenario ->
+    (instructions, warmup)); returns scenario -> policy -> entry."""
     return _measure_grid(
-        measure_scenario, sizes, jobs, ledger,
-        dict(workload="golden-scenarios", machines=["baseline"],
-             policies=list(GOLDEN_POLICIES), jobs=jobs))
+        {name: (scenario_workload(name), BASELINE, n, w)
+         for name, (n, w) in sizes.items()}, jobs, ledger)
 
 
 def _scenario_path(directory: str) -> str:
@@ -470,21 +382,6 @@ def check_scenarios(directory: str = GOLDEN_DIR, jobs: int = 1,
     if not sizes:
         return problems
 
-    grid = _measure_scenarios(jobs, sizes, ledger=ledger)
-    for name in sizes:
-        for policy in GOLDEN_POLICIES:
-            want = frozen[name]["points"][policy]
-            got = grid[name][policy]
-            if got["fingerprint"] != want["fingerprint"]:
-                detail = (f"commit digest also drifted "
-                          f"({want['commit_digest'][:12]} -> "
-                          f"{got['commit_digest'][:12]})"
-                          if got["commit_digest"] != want["commit_digest"]
-                          else "commit digest unchanged (timing-only drift)")
-                problems.append(
-                    f"{name}/{policy}: fingerprint "
-                    f"{want['fingerprint'][:12]} -> "
-                    f"{got['fingerprint'][:12]}; ipc {want['ipc']:.4f} -> "
-                    f"{got['ipc']:.4f}, cycles {want['cycles']} -> "
-                    f"{got['cycles']}; {detail}")
-    return problems
+    return problems + _drift(
+        {name: frozen[name]["points"] for name in sizes},
+        _measure_scenarios(jobs, sizes, ledger=ledger))

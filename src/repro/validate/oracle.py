@@ -45,7 +45,11 @@ without it, and it is wiring, not architectural state — checkpoints are
 interchangeable between oracle'd and plain cores. It also accumulates a
 *commit digest* (an order-sensitive SHA-256 over every retired uop's
 architectural fields), which is the oracle half of the golden
-conformance fingerprints (:mod:`repro.validate.golden`).
+conformance fingerprints (:mod:`repro.validate.golden`). The digest
+covers the measured window: :func:`repro.sim.measure` restarts it when
+the window opens (:meth:`CommitOracle.open_window`), so a cold core
+whose oracle also checked the warmup and a fork whose oracle was
+attached after the restore hash the same retirements.
 """
 
 import hashlib
@@ -212,9 +216,15 @@ class CommitOracle:
 
     # ============================================================ summary
 
+    def open_window(self) -> None:
+        """Restart the commit digest at the start of the measured window;
+        the lockstep checks and their counters carry on unchanged."""
+        self._h = hashlib.sha256()
+
     def digest(self) -> str:
-        """Order-sensitive hash over every retired uop's architectural
-        fields (idx, pc, class, addr, branch direction/target)."""
+        """Order-sensitive hash over the architectural fields (idx, pc,
+        class, addr, branch direction/target) of every uop retired since
+        attach or the last :meth:`open_window`."""
         return self._h.hexdigest()
 
     def final_check(self, expect_drained: bool = False) -> None:

@@ -114,27 +114,57 @@ class TestFarmEqualsSerial:
             for w in WLS:
                 assert a[p][w] == b[p][w]
 
-    @pytest.mark.slow
-    def test_golden_grid_bit_identical(self):
-        """The farm must not perturb the frozen 25-point conformance
-        grid: same fingerprints whether points run serially or across
-        crash-tolerant workers."""
-        from repro.validate.golden import (
-            GOLDEN_INSTRUCTIONS, GOLDEN_MACHINES, GOLDEN_POLICIES,
-            GOLDEN_WARMUP, GOLDEN_WORKLOAD,
-        )
-        for name, machine in GOLDEN_MACHINES.items():
-            serial = ExperimentRunner(instructions=GOLDEN_INSTRUCTIONS,
-                                      warmup=GOLDEN_WARMUP)
-            farm = ExperimentRunner(instructions=GOLDEN_INSTRUCTIONS,
-                                    warmup=GOLDEN_WARMUP)
-            a = serial.run_matrix([GOLDEN_WORKLOAD], machine,
-                                  list(GOLDEN_POLICIES))
-            b = farm.run_matrix([GOLDEN_WORKLOAD], machine,
-                                list(GOLDEN_POLICIES), jobs=2)
-            for p in GOLDEN_POLICIES:
-                assert a[p][GOLDEN_WORKLOAD] == b[p][GOLDEN_WORKLOAD], \
-                    f"farm diverged on {name}/{p}"
+
+class TestTaskGranularity:
+    def test_one_workload_fans_out_per_point(self, tmp_path):
+        """Without a shared warmup every point is its own farm task, so
+        a one-workload sweep still runs on every worker."""
+        ledger = str(tmp_path / "led.jsonl")
+        out = ExperimentRunner(instructions=N, warmup=W).run_matrix(
+            ["mcf"], BASELINE, POLS, jobs=2, ledger=ledger)
+        assert out.ok
+        done = [e for e in read_ledger(ledger) if e["ev"] == "point_done"]
+        assert len(done) == 2
+        assert len({e["pid"] for e in done} - {os.getpid()}) == 2
+
+    def test_shared_warmup_is_one_task_per_workload(self, tmp_path):
+        from repro.checkpoint import process_checkpoint_cache
+        process_checkpoint_cache().clear()  # workers inherit its entries
+        ledger = str(tmp_path / "led.jsonl")
+        out = ExperimentRunner(instructions=N, warmup=W).run_matrix(
+            ["mcf"], BASELINE, POLS, jobs=2, share_warmup=True,
+            ledger=ledger)
+        assert out.ok
+        events = read_ledger(ledger)
+        assert len([e for e in events if e["ev"] == "warmup_shared"]) == 1
+        assert len({e["pid"] for e in events
+                    if e["ev"] == "point_done"}) == 1
+
+
+class TestCommitDigest:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_digest_equals_fork_digest(self, jobs):
+        """The sweep's oracle rides through the warmup, yet its digest
+        covers only the measured window: it equals the digest of an
+        oracle attached to a warm checkpoint's fork."""
+        from repro.checkpoint import warm_checkpoint
+        from repro.sim import measure
+        pols = ["OOO", "FLUSH", "RAR"]
+        out = ExperimentRunner(instructions=N, warmup=W).run_matrix(
+            ["mcf"], BASELINE, pols, jobs=jobs, oracle=True)
+        assert sorted(out.commit_digests) == [(p, "mcf") for p in sorted(pols)]
+        for p in pols:
+            core = warm_checkpoint("mcf", BASELINE, p, warmup=W).fork(
+                oracle=True)
+            assert measure(core, N, "mcf") == out[p]["mcf"]
+            assert out.commit_digests[(p, "mcf")] == core.oracle.digest()
+
+    def test_digest_rides_the_point_done_event(self, tmp_path):
+        ledger = str(tmp_path / "led.jsonl")
+        out = ExperimentRunner(instructions=N, warmup=W).run_matrix(
+            ["mcf"], BASELINE, ["RAR"], oracle=True, ledger=ledger)
+        (done,) = [e for e in read_ledger(ledger) if e["ev"] == "point_done"]
+        assert done["commit_digest"] == out.commit_digests[("RAR", "mcf")]
 
 
 class TestScheduler:

@@ -97,3 +97,10 @@ class TestRenderReport:
             json.dump([1, 2], f)
         with pytest.raises(ValueError, match="not a stats object"):
             load_stats(path)
+
+    def test_load_stats_names_a_truncated_file(self, tmp_path):
+        import pytest
+        path = tmp_path / "s.json"
+        path.write_text('{"schema": "repro-stats-v1", "res')
+        with pytest.raises(ValueError, match="s.json: not a JSON stats"):
+            load_stats(str(path))

@@ -48,6 +48,19 @@ class TestReconciliation:
         assert obj["result"]["policy"] == "RAR"
         assert render_report(obj)  # renders without raising
 
+    def test_failed_write_leaves_previous_file_whole(self, traced_run,
+                                                     tmp_path):
+        """A writer dying mid-dump (here: an unserialisable manifest)
+        must not tear the stats file a reader may be loading."""
+        from repro.obs import load_stats
+        tele, r = traced_run
+        path = str(tmp_path / "s.json")
+        tele.write_stats(path, r)
+        with pytest.raises(TypeError):
+            tele.write_stats(path, r, manifest={"host": object()})
+        assert load_stats(path)["result"]["policy"] == "RAR"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
 
 class TestTimeline:
     def test_samples_cover_measured_window(self, traced_run):

@@ -21,12 +21,6 @@ class TestParser:
             "calibrate", "characterize", "diff", "golden", "list", "memval",
             "report", "run", "sweep", "top", "trace", "warmval"]
 
-    def test_diff_paths_reject_mp(self):
-        parser = build_parser()
-        assert parser.parse_args(["diff", "mcf"]).paths == ["facade", "fork"]
-        with pytest.raises(SystemExit):
-            parser.parse_args(["diff", "mcf", "--paths", "facade", "mp"])
-
     def test_machine_choices(self):
         parser = build_parser()
         with pytest.raises(SystemExit):
@@ -295,6 +289,13 @@ class TestReportCommand:
         led.sweep_start(total_points=1, manifest={})  # never finishes
         assert main(["report", path]) == 1
         assert "0 distinct points" in capsys.readouterr().out
+
+    def test_report_on_truncated_stats_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text('{\n "schema": "repro-stats-v1",\n "res')
+        assert main(["report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: not a JSON stats file" in err
 
     def test_report_on_missing_file_raises(self):
         with pytest.raises(FileNotFoundError):

@@ -1,7 +1,5 @@
 """Differential harness: payload diffing, timeline bisection, verdicts."""
 
-import pytest
-
 from repro.common.params import BASELINE
 from repro.validate import diff as diffmod
 from repro.validate.diff import (
@@ -66,25 +64,10 @@ class TestBisection:
         assert _bisect_timeline(rows, []) is None
 
 
-class TestValidation:
-    def test_unknown_path_rejected(self):
-        with pytest.raises(ValueError, match="unknown path"):
-            differential_check("mcf", BASELINE, "RAR", paths=("facade", "x"))
-        # the one-process pool path is gone; the farm has its own tests
-        with pytest.raises(ValueError, match="unknown path"):
-            differential_check("mcf", BASELINE, "RAR",
-                               paths=("facade", "mp"))
-
-    def test_single_path_rejected(self):
-        with pytest.raises(ValueError, match="at least two"):
-            differential_check("mcf", BASELINE, "RAR", paths=("facade",))
-
-
 class TestHarness:
     def test_facade_vs_fork_identical(self):
         report = differential_check(
-            "libquantum", BASELINE, "PRE", instructions=1200, warmup=400,
-            paths=("facade", "fork"))
+            "libquantum", BASELINE, "PRE", instructions=1200, warmup=400)
         assert report.identical
         assert report.divergences == []
         assert set(report.results) == {"facade", "fork"}
@@ -93,14 +76,13 @@ class TestHarness:
     def test_sanitized_diff(self):
         report = differential_check(
             "libquantum", BASELINE, "RAR", instructions=800, warmup=200,
-            paths=("facade", "fork"), validate=True)
+            validate=True)
         assert report.identical
 
     def test_report_round_trips_to_json(self):
         import json
         report = differential_check(
-            "x264", BASELINE, "OOO", instructions=600, warmup=200,
-            paths=("facade", "fork"))
+            "x264", BASELINE, "OOO", instructions=600, warmup=200)
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["identical"] is True
         assert payload["paths"] == ["facade", "fork"]
@@ -124,7 +106,7 @@ class TestHarness:
         monkeypatch.setattr(diffmod, "_run_point", fake_run_point)
         report = differential_check(
             "mcf", BASELINE, "RAR", instructions=1000, warmup=0,
-            paths=("facade", "fork"), bisect_interval=500)
+            bisect_interval=500)
         assert not report.identical
         (div,) = report.divergences
         assert div.ref_path == "facade" and div.other_path == "fork"
@@ -143,7 +125,7 @@ class TestHarness:
 
         monkeypatch.setattr(diffmod, "_run_point", fake_run_point)
         report = differential_check(
-            "mcf", BASELINE, "RAR", paths=("facade", "fork"),
+            "mcf", BASELINE, "RAR",
             bisect_interval=0)
         assert not report.identical
         assert report.divergences[0].first_interval is None
@@ -160,8 +142,7 @@ class TestReportTypes:
 
     def test_report_identical_property(self):
         r = DiffReport(workload="w", machine="m", policy="p",
-                       instructions=1, warmup=0, seed=None,
-                       paths=("facade", "fork"))
+                       instructions=1, warmup=0, seed=None)
         assert r.identical
         r.divergences.append(Divergence("facade", "fork", []))
         assert not r.identical

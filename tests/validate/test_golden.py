@@ -15,7 +15,6 @@ from repro.validate.golden import (
     canonical_fingerprint,
     check_golden,
     golden_points,
-    measure_point,
     regen_golden,
 )
 
@@ -84,11 +83,6 @@ class TestRoundTrip:
         assert check_golden(small_grid) == []
         assert check_golden(small_grid) == []  # second run, same verdict
 
-    def test_measure_point_deterministic(self):
-        a = measure_point("baseline", "RAR", instructions=400, warmup=300)
-        b = measure_point("baseline", "RAR", instructions=400, warmup=300)
-        assert a == b
-
     def test_fingerprint_drift_detected(self, small_grid):
         path = os.path.join(small_grid, "baseline.json")
         with open(path) as f:
@@ -141,7 +135,7 @@ class TestRoundTrip:
 
 @pytest.mark.slow
 class TestFullMatrix:
-    """The real frozen 25-point matrix, serially and forked."""
+    """The real frozen 25-point matrix, serially and on the farm."""
 
     def test_frozen_matrix_conformant_serial(self):
         assert check_golden(GOLDEN_DIR, jobs=1) == []

@@ -12,7 +12,6 @@ from repro.validate.golden import (
     GOLDEN_SCENARIOS,
     GOLDEN_SCHEMA,
     check_scenarios,
-    measure_scenario,
     regen_scenarios,
     scenario_points,
     scenario_workload,
@@ -77,13 +76,6 @@ class TestRoundTrip:
 
     def test_regen_then_check_ok(self, small_grid):
         assert check_scenarios(small_grid) == []
-
-    def test_measure_scenario_deterministic(self):
-        a = measure_scenario("fixture:gem5", "RAR", instructions=700,
-                             warmup=100)
-        b = measure_scenario("fixture:gem5", "RAR", instructions=700,
-                             warmup=100)
-        assert a == b
 
     def test_drift_detected(self, small_grid):
         path = os.path.join(small_grid, "scenarios.json")

@@ -10,8 +10,8 @@ stdlib only, exit 0/1:
    the disk cache, and the run ledger must audit clean
    (``check_complete``) with the worker death and requeue on record.
 2. **Farm/serial identity** — the chaos sweep's surviving results must
-   be bit-identical to a serial ``run_matrix`` of the same grid; the
-   golden fingerprints can't be perturbed by scheduling.
+   be bit-identical to a serial ``run_matrix`` of the same grid:
+   scheduling cannot perturb a result.
 
 Usage: ``PYTHONPATH=src python tools/farm_smoke.py [--jobs N]``
 """
