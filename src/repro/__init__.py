@@ -15,7 +15,7 @@ Quickstart::
 
 from repro.analysis.experiments import ExperimentRunner
 from repro.analysis.stats import amean, gmean, hmean
-from repro.checkpoint import Checkpoint, simulate_from, warm_checkpoint
+from repro.checkpoint import Checkpoint, warm_checkpoint
 from repro.common.params import (
     BASELINE,
     DEFAULT_INSTRUCTIONS,
@@ -66,7 +66,6 @@ __all__ = [
     "SimResult",
     "Checkpoint",
     "warm_checkpoint",
-    "simulate_from",
     "DEFAULT_INSTRUCTIONS",
     "DEFAULT_WARMUP",
     "OutOfOrderCore",

@@ -21,8 +21,8 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, \
-    Union
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, \
+    Optional, Tuple, Union
 
 from repro.common.io import atomic_write_json
 from repro.common.params import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP, \
@@ -143,20 +143,38 @@ def _point_error(spec, machine, name: str, variant: str,
             "variant": variant, "error": repr(exc), "traceback": tb}
 
 
-def _iter_group_points(task: Tuple) -> Iterator[Dict[str, Any]]:
+class SweepTask(NamedTuple):
+    """One sweep task: one point, or one workload's points under a
+    shared warmup. Only picklable inputs (policy *names*, the ledger
+    *path*): traces and checkpoints are rebuilt in the farm worker,
+    because a :class:`~repro.isa.trace.Trace` buffers a generator."""
+
+    spec: WorkloadSpec
+    machine: MachineParams
+    policies: Tuple[str, ...]
+    instructions: int
+    warmup: int
+    share_warmup: bool
+    warmup_policy: str
+    stats_dir: Optional[str]
+    validate: bool
+    oracle: bool
+    ledger_path: Optional[str]
+    warmup_mode: str
+
+    def variant(self, policy: str) -> str:
+        """The cache-key variant of this task's point under ``policy``."""
+        return _variant(self.share_warmup, policy, self.warmup_policy,
+                        self.warmup_mode)
+
+
+def _iter_group_points(task: SweepTask) -> Iterator[Dict[str, Any]]:
     """Simulate one sweep task, yielding one outcome per policy.
 
-    A task is one point, or one workload's points under a shared
-    warmup. Module-level so it pickles into farm workers. The task
-    carries
-    only picklable inputs (spec, machine params, policy *names*, sizes,
-    the ledger *path*) — traces and checkpoints are rebuilt inside the
-    worker because a lazily-materialised
-    :class:`~repro.isa.trace.Trace` buffers a generator and cannot
-    cross a process boundary.
-
-    Each point is one :func:`~repro.sim.measure` of a checkpoint fork
-    or of :func:`~repro.sim.warm_core`'s cold core.
+    Module-level so it runs unchanged in farm workers. Each point is one
+    :func:`~repro.sim.measure` of a core from
+    :func:`~repro.sim.warm_core` (``warmup_mode`` included) or, under a
+    shared warmup, of a fork of the group's checkpoint.
 
     Each yielded outcome is a plain dict: successful points carry the
     ``SimResult.to_dict()`` payload under ``"payload"`` (and, with
@@ -203,8 +221,7 @@ def _iter_group_points(task: Tuple) -> Iterator[Dict[str, Any]]:
             _log.error("shared warmup failed", exc_info=True, extra={
                 "data": {"workload": spec.name}})
             for name in policy_names:
-                variant = _variant(share_warmup, name, warmup_policy,
-                                   warmup_mode)
+                variant = task.variant(name)
                 if ledger is not None:
                     ledger.point_error(workload=spec.name,
                                        machine=machine.name, policy=name,
@@ -213,7 +230,7 @@ def _iter_group_points(task: Tuple) -> Iterator[Dict[str, Any]]:
                 yield _point_error(spec, machine, name, variant, e, tb)
             return
     for done, name in enumerate(policy_names):
-        variant = _variant(share_warmup, name, warmup_policy, warmup_mode)
+        variant = task.variant(name)
         manifest = None
         if ledger is not None or stats_dir:
             from repro.obs.manifest import point_manifest
@@ -230,26 +247,15 @@ def _iter_group_points(task: Tuple) -> Iterator[Dict[str, Any]]:
         t0 = time.perf_counter()
         try:
             _chaos_maybe_raise(spec.name, name)
-            point_checkpoint = checkpoint
-            if point_checkpoint is None and warmup_mode != "detailed":
-                # Non-shared fast warmup: warm per measured policy (the
-                # exact-policy shape of the default path) through the
-                # fast walk, deduped by the process checkpoint cache. A
-                # warmup failure here is isolated per point.
-                from repro.checkpoint import process_checkpoint_cache
-                point_checkpoint = process_checkpoint_cache().get_or_warm(
-                    spec, machine, name, warmup=warmup,
-                    validate=validate, ledger=ledger,
-                    warmup_mode=warmup_mode)
-            if point_checkpoint is not None:
-                core = point_checkpoint.fork(name, validate=validate,
-                                             oracle=oracle)
+            if checkpoint is not None:
+                core = checkpoint.fork(name, validate=validate,
+                                       oracle=oracle)
                 if telemetry is not None:
                     telemetry.attach(core)
             else:
                 core, _ = warm_core(spec, machine, name, warmup,
                                     telemetry=telemetry, validate=validate,
-                                    oracle=oracle)
+                                    oracle=oracle, warmup_mode=warmup_mode)
             result = measure(core, instructions, spec.name)
         except Exception as e:
             import traceback
@@ -475,7 +481,7 @@ class ExperimentRunner:
 
         out = MatrixResult()
         digest = RunKey.digest(machine)
-        tasks: List[Tuple] = []
+        tasks: List[SweepTask] = []
         n_cached = 0
         for spec in specs:
             missing: List[str] = []
@@ -510,11 +516,11 @@ class ExperimentRunner:
             # point is its own task, so one workload still fans out.
             groups = ([tuple(missing)] if share_warmup and missing
                       else [(name,) for name in missing])
-            tasks.extend((spec, machine, group, self.instructions,
-                          self.warmup, share_warmup, wp.name, stats_dir,
-                          validate, oracle,
-                          ledger.path if ledger is not None else None,
-                          warmup_mode) for group in groups)
+            tasks.extend(SweepTask(
+                spec, machine, group, self.instructions, self.warmup,
+                share_warmup, wp.name, stats_dir, validate, oracle,
+                ledger.path if ledger is not None else None, warmup_mode)
+                for group in groups)
         if not tasks:
             if ledger is not None:
                 ledger.sweep_done(elapsed_s=time.perf_counter() - t_start,

@@ -12,10 +12,10 @@ streaming shape, plus liveness). Worker death is detected as EOF on the
 worker's pipe; the dead worker's *undelivered* points are requeued with
 a bounded retry budget, and a point that repeatedly kills its worker is
 quarantined (recorded in the run ledger as ``point_quarantined``,
-reported as a failure) instead of wedging the sweep. Workers are
-persistent across :meth:`FarmScheduler.run` calls, so each worker's
-process-local :class:`~repro.checkpoint.CheckpointCache` shares warm
-checkpoints across every run it serves.
+reported as a failure) instead of wedging the sweep. ``run_matrix``
+starts one scheduler per sweep and shuts it down before it returns;
+workers are forked from the sweep's process, so they start with its
+process-local :class:`~repro.checkpoint.CheckpointCache` entries.
 
 Delivery semantics are *at least once*: a worker killed in the instant
 between finishing a point and the scheduler draining its pipe re-runs
@@ -48,12 +48,13 @@ from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import experiments as _exp
+from repro.analysis.experiments import SweepTask
 from repro.obs import log as obs_log
 
 __all__ = [
     "CRASH_TOKEN_ENV",
     "POISON_ENV",
-    "DEFAULT_MAX_RETRIES",
+    "MAX_RETRIES",
     "FarmReport",
     "FarmScheduler",
 ]
@@ -65,7 +66,10 @@ POISON_ENV = "REPRO_FARM_POISON"
 
 #: extra attempts a task gets after its worker died before the first
 #: undelivered point is declared poison and quarantined
-DEFAULT_MAX_RETRIES = 2
+MAX_RETRIES = 2
+
+#: liveness/result poll period of the scheduler loop, in seconds
+POLL_S = 0.05
 
 
 # --------------------------------------------------------------- worker
@@ -99,30 +103,15 @@ def _chaos_maybe_kill(workload: str, policy: str) -> None:
 
 @dataclass
 class GroupTask:
-    """One dispatchable unit: a workload group (or requeued residue).
-
-    ``base`` is the picklable task tuple
-    :func:`~repro.analysis.experiments._iter_group_points` consumes;
-    ``policies`` is this task's (possibly residual) slice of the
-    group's policy list. ``attempts`` counts worker deaths while this
-    task was in flight — the retry budget.
+    """One dispatchable unit: a sweep task (or its requeued residue,
+    whose ``policies`` are the points not yet delivered). ``attempts``
+    counts worker deaths while this task was in flight — the retry
+    budget.
     """
 
     task_id: int
-    base: Tuple
-    policies: Tuple[str, ...]
+    sweep: SweepTask
     attempts: int = 0
-
-    @property
-    def workload(self) -> str:
-        return self.base[0].name
-
-    @property
-    def machine_name(self) -> str:
-        return self.base[1].name
-
-    def group_tuple(self) -> Tuple:
-        return self.base[:2] + (self.policies,) + self.base[3:]
 
 
 def _worker_main(conn, log_queue) -> None:
@@ -142,9 +131,9 @@ def _worker_main(conn, log_queue) -> None:
             if task is None:
                 break
             try:
-                points = _exp._iter_group_points(task.group_tuple())
-                for policy in task.policies:
-                    _chaos_maybe_kill(task.workload, policy)
+                points = _exp._iter_group_points(task.sweep)
+                for policy in task.sweep.policies:
+                    _chaos_maybe_kill(task.sweep.spec.name, policy)
                     conn.send(("point", task.task_id, next(points)))
                 conn.send(("group_done", task.task_id))
             except Exception as e:  # scheduler-level fault, not a point's
@@ -183,8 +172,8 @@ class FarmScheduler:
     """Crash-tolerant worker pool for sweep group tasks.
 
     Use as a context manager (or call :meth:`shutdown` explicitly).
-    Workers persist across :meth:`run` calls, so worker-local
-    checkpoint caches accumulate across them.
+    A task survives :data:`MAX_RETRIES` worker deaths before its first
+    undelivered point is quarantined.
 
     Args:
         jobs: worker process count.
@@ -193,19 +182,12 @@ class FarmScheduler:
             ``point_requeued`` / ``point_quarantined``); workers append
             their per-point events through the ledger path embedded in
             each task.
-        max_retries: worker deaths a task survives before its first
-            undelivered point is quarantined.
-        poll_s: liveness/result poll period.
     """
 
-    def __init__(self, jobs: int, ledger: Optional[Any] = None,
-                 max_retries: int = DEFAULT_MAX_RETRIES,
-                 poll_s: float = 0.05):
+    def __init__(self, jobs: int, ledger: Optional[Any] = None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        self.max_retries = max_retries
-        self.poll_s = poll_s
         if isinstance(ledger, str):
             from repro.obs.ledger import RunLedger
             ledger = RunLedger(ledger)
@@ -278,13 +260,13 @@ class FarmScheduler:
 
     # ------------------------------------------------------------- run
 
-    def run(self, tasks: List[Tuple],
+    def run(self, tasks: List[SweepTask],
             on_point: Optional[Callable[[Dict[str, Any]], None]] = None,
             ) -> FarmReport:
-        """Execute group-task tuples, streaming outcomes to ``on_point``.
+        """Execute sweep tasks, streaming outcomes to ``on_point``.
 
-        ``tasks`` are the picklable tuples ``run_matrix`` builds (the
-        :func:`~repro.analysis.experiments._iter_group_points` input).
+        ``tasks`` are the :class:`~repro.analysis.experiments.SweepTask`
+        values ``run_matrix`` builds.
         ``on_point`` receives every outcome dict as it lands — payloads,
         isolated errors, and synthesized quarantine records — in
         completion order.
@@ -314,7 +296,7 @@ class FarmScheduler:
                     if w.task is not None}
             if not busy:
                 continue
-            for conn in mp_connection.wait(list(busy), timeout=self.poll_s):
+            for conn in mp_connection.wait(list(busy), timeout=POLL_S):
                 w = busy[conn]
                 try:
                     while True:
@@ -327,16 +309,10 @@ class FarmScheduler:
                                           report, on_point)
         return report
 
-    def _wrap(self, base: Tuple) -> GroupTask:
+    def _wrap(self, sweep: SweepTask, attempts: int = 0) -> GroupTask:
         self._next_task_id += 1
-        return GroupTask(task_id=self._next_task_id, base=base,
-                         policies=tuple(base[2]))
-
-    def _residual_task(self, task: GroupTask, policies: Tuple[str, ...],
-                       attempts: int) -> GroupTask:
-        self._next_task_id += 1
-        return GroupTask(task_id=self._next_task_id, base=task.base,
-                         policies=policies, attempts=attempts)
+        return GroupTask(task_id=self._next_task_id, sweep=sweep,
+                         attempts=attempts)
 
     def _on_message(self, w: _Worker, msg: Tuple, delivered, report,
                     on_point) -> None:
@@ -360,13 +336,14 @@ class FarmScheduler:
             w.task = None
             if task is None:
                 return
-            for policy in task.policies:
+            for policy in task.sweep.policies:
                 if policy in delivered.get(task_id, set()):
                     continue
                 report.points += 1
                 report.errors += 1
                 if on_point is not None:
-                    on_point(self._failure_outcome(task, policy, error, tb))
+                    on_point(_failure_outcome(task.sweep, policy, error,
+                                              tb))
 
     def _on_worker_death(self, w: _Worker, pending, delivered, report,
                          on_point) -> None:
@@ -377,68 +354,62 @@ class FarmScheduler:
         w.conn.close()
         self._workers.remove(w)
         report.worker_deaths += 1
-        label = (f"{task.workload}/{task.machine_name}"
-                 if task is not None else "idle")
+        sweep = task.sweep if task is not None else None
+        label = (f"{sweep.spec.name}/{sweep.machine.name}"
+                 if sweep is not None else "idle")
         _log.warning("worker died", extra={"data": {
             "pid": pid, "task": label}})
         if self.ledger is not None:
             self.ledger.worker_dead(
                 dead_pid=pid,
-                workload=task.workload if task is not None else None,
+                workload=sweep.spec.name if sweep is not None else None,
                 attempt=task.attempts if task is not None else None)
         if task is None:
             return
-        residual = tuple(p for p in task.policies
+        residual = tuple(p for p in sweep.policies
                          if p not in delivered.get(task.task_id, set()))
         if not residual:
             return  # every point delivered; only the group_done was lost
         attempts = task.attempts + 1
-        if attempts > self.max_retries:
+        if attempts > MAX_RETRIES:
             poison, rest = residual[0], residual[1:]
-            self._quarantine(task, poison, attempts, report, on_point)
+            self._quarantine(sweep, poison, attempts, report, on_point)
             residual, attempts = rest, 0  # poison removed: fresh budget
         if residual:
-            requeued = self._residual_task(task, residual, attempts)
-            pending.appendleft(requeued)
+            pending.appendleft(self._wrap(sweep._replace(policies=residual),
+                                          attempts))
             report.requeued += len(residual)
             if self.ledger is not None:
                 for policy in residual:
                     self.ledger.point_requeued(
-                        workload=task.workload,
-                        machine=task.machine_name, policy=policy,
+                        workload=sweep.spec.name,
+                        machine=sweep.machine.name, policy=policy,
                         attempt=attempts)
 
-    def _quarantine(self, task: GroupTask, policy: str, attempts: int,
+    def _quarantine(self, sweep: SweepTask, policy: str, attempts: int,
                     report, on_point) -> None:
         error = (f"quarantined: point killed its worker "
-                 f"{attempts} time(s) (max_retries={self.max_retries})")
-        label = f"{task.workload}/{task.machine_name}/{policy}"
+                 f"{attempts} time(s) (max_retries={MAX_RETRIES})")
+        label = f"{sweep.spec.name}/{sweep.machine.name}/{policy}"
         report.quarantined.append(label)
         _log.error("point quarantined", extra={"data": {
             "point": label, "attempts": attempts}})
         if self.ledger is not None:
             self.ledger.point_quarantined(
-                workload=task.workload, machine=task.machine_name,
-                policy=policy, variant=self._task_variant(task, policy),
+                workload=sweep.spec.name, machine=sweep.machine.name,
+                policy=policy, variant=sweep.variant(policy),
                 error=error, attempts=attempts)
         report.points += 1
         report.errors += 1
         if on_point is not None:
-            outcome = self._failure_outcome(task, policy, error, "")
+            outcome = _failure_outcome(sweep, policy, error, "")
             outcome["quarantined"] = True
             on_point(outcome)
 
-    @staticmethod
-    def _task_variant(task: GroupTask, policy: str) -> str:
-        share_warmup, warmup_policy = task.base[5], task.base[6]
-        warmup_mode = task.base[11]
-        return _exp._variant(share_warmup, policy, warmup_policy,
-                             warmup_mode)
 
-    def _failure_outcome(self, task: GroupTask, policy: str, error: str,
-                         tb: str) -> Dict[str, Any]:
-        return {"workload": task.workload, "machine": task.machine_name,
-                "policy": policy,
-                "variant": self._task_variant(task, policy),
-                "error": error, "traceback": tb}
+def _failure_outcome(sweep: SweepTask, policy: str, error: str,
+                     tb: str) -> Dict[str, Any]:
+    return {"workload": sweep.spec.name, "machine": sweep.machine.name,
+            "policy": policy, "variant": sweep.variant(policy),
+            "error": error, "traceback": tb}
 

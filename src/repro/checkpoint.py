@@ -1,17 +1,21 @@
 """Warm-state checkpointing: capture a warmed core once, fork N runs.
 
 Every figure in the paper compares several policies on the *same*
-workload with identical warmup. :func:`warm_checkpoint` runs the warmup
-once and captures the complete mutable state of the core — memory
-hierarchy contents, branch predictor tables, SST, ACE accounting, every
-pipeline component's registers and the in-flight window — into a
-:class:`Checkpoint`. :func:`simulate_from` then restores that state into
-a freshly constructed core and runs only the measurement window.
+workload with identical warmup. :func:`warm_checkpoint` runs the one
+warmup sequence (:func:`repro.sim.warm_core`) once and captures the
+complete mutable state of the core — memory hierarchy contents, branch
+predictor tables, SST, ACE accounting, every pipeline component's
+registers and the in-flight window — into a :class:`Checkpoint`.
+:meth:`Checkpoint.fork` restores that state into a freshly constructed
+core, which :func:`repro.sim.measure` then measures. A checkpoint is
+built only where a warmup is shared: ``run_matrix(share_warmup=True)``
+and ``repro diff``'s fork leg.
 
 Bit-identity contract: forking a checkpoint warmed under policy P and
-measuring under the same policy P is **bit-identical** to a cold
-``simulate()`` with the same seed/warmup (the regression tests assert
-this for every policy). Measuring a *different* policy than the one that
+measuring under the same policy P is **bit-identical** to measuring
+:func:`~repro.sim.warm_core`'s core with the same seed, warmup and
+warmup mode (the regression tests assert this for every policy).
+Measuring a *different* policy than the one that
 warmed the checkpoint is an explicit approximation — warmup behaviour
 (runahead prefetches, predictor training) differs per policy — used by
 ``ExperimentRunner.run_matrix(share_warmup=True)``, which tags cached
@@ -42,24 +46,17 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.common.params import (
-    DEFAULT_INSTRUCTIONS,
-    DEFAULT_WARMUP,
-    MachineParams,
-)
+from repro.common.params import DEFAULT_WARMUP, MachineParams
 from repro.core.core import OutOfOrderCore
-from repro.core.fastfwd import (
-    DEFAULT_WARMUP_MODE, detailed_tail, functional_warmup,
-    validate_warmup_mode,
-)
+from repro.core.fastfwd import DEFAULT_WARMUP_MODE, validate_warmup_mode
 from repro.core.runahead import OOO, RunaheadPolicy, get_policy
 from repro.isa.trace import Trace
-from repro.sim import SimResult, build_core, measure
+from repro.sim import warm_core
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.catalog import get_workload
 
 __all__ = ["Checkpoint", "CheckpointCache", "process_checkpoint_cache",
-           "warm_checkpoint", "simulate_from"]
+           "warm_checkpoint"]
 
 #: Core attributes holding the shared hardware structures whose full
 #: ``__dict__`` is captured and restored in place.
@@ -73,7 +70,7 @@ CORE_STRUCTURES = (
 class Checkpoint:
     """Deep-copied image of a warmed core, forkable into many runs.
 
-    Holds everything :func:`simulate_from` needs to reconstruct the
+    Holds everything :meth:`fork` needs to reconstruct the
     moment right after warmup: the run coordinates (workload/machine/
     policy/warmup/seed), the shared trace, and the state blob. The blob
     is private — each fork deep-copies it again, so one checkpoint can
@@ -192,74 +189,32 @@ def warm_checkpoint(
     ledger=None,
     warmup_mode: str = DEFAULT_WARMUP_MODE,
 ) -> Checkpoint:
-    """Run warmup once and capture the resulting state.
+    """:func:`repro.sim.warm_core` once, captured for sharing.
 
-    With the default ``warmup_mode="detailed"`` this is the front half
-    of :func:`repro.sim.simulate` (the same
-    :func:`~repro.sim.build_core`, then the warmup run) so a fork
-    measured under ``policy`` reproduces a cold run bit for bit.
-    ``warmup_mode="fast"`` warms the long-lived structures through the
-    functional walk (:func:`repro.core.fastfwd.functional_warmup`)
-    instead of the detailed pipeline — an explicit approximation,
-    cross-validated by ``repro warmval``; the capture/fork machinery is
-    identical either way. ``validate`` sanitizes the warmup run itself
-    (under fast mode only the detailed tail steps the engine, so only
-    the tail is checked); it does not mark the checkpoint (forks opt in
-    separately). ``ledger`` (a
-    :class:`~repro.obs.ledger.RunLedger` or path) records a
-    ``warmup_shared`` event with the warmup wall time and mode — purely
-    observational, the captured state is bit-identical either way.
+    ``validate`` sanitizes the warmup run itself (under fast mode only
+    the detailed tail steps the engine, so only the tail is checked);
+    it does not mark the checkpoint (forks opt in separately).
+    ``ledger`` (a :class:`~repro.obs.ledger.RunLedger` or path) records
+    a ``warmup_shared`` event with the mode and the wall time of build,
+    warmup and capture — purely observational, the captured state is
+    bit-identical either way.
     """
     import time
 
-    validate_warmup_mode(warmup_mode)
-    if isinstance(ledger, str):
-        from repro.obs.ledger import RunLedger
-        ledger = RunLedger(ledger)
-    core, name = build_core(workload, machine, policy, seed,
-                            validate=validate)
     t0 = time.perf_counter()
-    if warmup > 0:
-        if warmup_mode == "fast":
-            # Functional walk over the bulk, detailed core over the
-            # recency-dominated tail (see repro.core.fastfwd).
-            tail = detailed_tail(warmup)
-            functional_warmup(core, warmup - tail)
-            if tail > 0:
-                core.run(tail)
-        else:
-            core.run(warmup)
+    core, name = warm_core(workload, machine, policy, warmup, seed,
+                           validate=validate, warmup_mode=warmup_mode)
     checkpoint = Checkpoint.capture(core, name, warmup, seed,
                                     warmup_mode=warmup_mode)
     if ledger is not None:
+        if isinstance(ledger, str):
+            from repro.obs.ledger import RunLedger
+            ledger = RunLedger(ledger)
         ledger.warmup_shared(workload=name, machine=machine.name,
                              policy=core.policy.name, warmup=warmup,
                              mode=warmup_mode,
                              wall_s=time.perf_counter() - t0)
     return checkpoint
-
-
-def simulate_from(
-    checkpoint: Checkpoint,
-    policy: Union[RunaheadPolicy, str, None] = None,
-    instructions: int = DEFAULT_INSTRUCTIONS,
-    telemetry=None,
-    validate: bool = False,
-    oracle: bool = False,
-) -> SimResult:
-    """Measure ``instructions`` starting from a warmed checkpoint.
-
-    With ``policy`` equal to the checkpoint's warmup policy (the
-    default), the returned :class:`SimResult` is bit-identical to
-    ``simulate(workload, machine, policy, instructions,
-    checkpoint.warmup, checkpoint.seed)``. A different ``policy`` forks
-    the same warmed state under new control logic — the shared-warmup
-    approximation.
-    """
-    core = checkpoint.fork(policy, validate=validate, oracle=oracle)
-    if telemetry is not None:
-        telemetry.attach(core)
-    return measure(core, instructions, checkpoint.workload)
 
 
 class CheckpointCache:

@@ -57,7 +57,7 @@ from repro.common.params import (
 )
 from repro.core.runahead import ALL_POLICIES, EXTENSION_POLICIES, get_policy
 from repro.memory.dram import PRESET_NAMES, SCHEDULERS, dram_preset
-from repro.sim import simulate
+from repro.sim import measure, simulate, warm_core
 from repro.workloads.catalog import ALL_WORKLOADS, get_workload
 
 MACHINES: Dict[str, MachineParams] = {
@@ -150,19 +150,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     machine = MACHINES[args.machine]
     policy = args.policy_opt or args.policy
     telemetry = _build_telemetry(args)
-    if args.warmup_mode != "detailed":
-        from repro.checkpoint import simulate_from, warm_checkpoint
-        checkpoint = warm_checkpoint(args.workload, machine, policy,
-                                     warmup=args.warmup,
-                                     warmup_mode=args.warmup_mode)
-        r = simulate_from(checkpoint, instructions=args.instructions,
-                          telemetry=telemetry, validate=args.validate,
-                          oracle=args.oracle)
-    else:
-        r = simulate(args.workload, machine, policy,
-                     instructions=args.instructions, warmup=args.warmup,
-                     telemetry=telemetry, validate=args.validate,
-                     oracle=args.oracle)
+    core, name = warm_core(args.workload, machine, policy, args.warmup,
+                           telemetry=telemetry, validate=args.validate,
+                           oracle=args.oracle,
+                           warmup_mode=args.warmup_mode)
+    r = measure(core, args.instructions, name)
     print(f"{r.workload} on {r.machine} under {r.policy}:")
     print(f"  instructions   {r.instructions}")
     print(f"  cycles         {r.cycles}")
@@ -182,7 +174,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             telemetry.write_stats(
                 args.stats_out, r,
                 manifest=point_manifest(r.workload, machine, r.policy,
-                                        args.instructions, args.warmup))
+                                        args.instructions, args.warmup,
+                                        warmup_mode=args.warmup_mode))
             print(f"  stats          -> {args.stats_out}")
         if args.trace_out:
             telemetry.write_trace(args.trace_out)

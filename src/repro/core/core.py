@@ -280,9 +280,11 @@ class OutOfOrderCore:
             reg.scalar(name,
                        getter=lambda m=mem, a=attr: getattr(m.dram, a))
         ace = self.ace
+        # Read ``ace.bits`` at call time, like the DRAM getters above:
+        # checkpoint restore replaces the dict.
         for s in ace.bits:
             reg.scalar(f"ace.{s}.bits",
-                       getter=partial(ace.bits.__getitem__, s))
+                       getter=lambda a=ace, s=s: a.bits[s])
         reg.scalar("ace.total", getter=lambda a=ace: a.total)
         reg.scalar("ace.head_blocked.bits",
                    getter=partial(getattr, ace, "bits_in_head_blocked"))

@@ -50,14 +50,14 @@ sampled simulation). The tail restores the boundary state the measured
 region actually feels, while the functional walk still covers ~90% of
 the region, keeping the warmup-phase speedup above the 5x target.
 
-Because the walk mutates the structures of a real
-:class:`~repro.core.core.OutOfOrderCore` in place,
-:meth:`~repro.checkpoint.Checkpoint.capture` snapshots a fast-warmed
-core through the identical code path as a detailed one — the blob
-schema, ``fork()`` semantics, farm workers and the
-:class:`~repro.checkpoint.CheckpointCache` are shared by construction.
-Results measured from a fast checkpoint are still an approximation and
-are cache-tagged with a ``wm:fast`` variant (see
+:func:`functional_warmup` is called from one place,
+:func:`repro.sim.warm_core` under ``warmup_mode="fast"``, the one warmup
+sequence of ``repro run``, sweeps and ``repro warmval``. Because the
+walk mutates the structures of a real
+:class:`~repro.core.core.OutOfOrderCore` in place, a shared fast warmup
+is captured and forked by the same code as a detailed one. Results
+measured after a fast warmup are still an approximation and are
+cache-tagged with a ``wm:fast`` variant (see
 :func:`repro.analysis.experiments._variant`) so they never mix with
 exact runs.
 """

@@ -37,8 +37,9 @@ that every point of a completed sweep has exactly one terminal event
 ``point_start`` behind; the requeued attempt supplies the single
 terminal event, so a crash-tolerant sweep still audits clean. One file
 may hold several sweeps (``repro sweep -m A B --ledger``, or sweeps
-appended one after another): their announced points add up, and the
-file is complete once every ``sweep_start`` has its ``sweep_done``.
+appended one after another): :func:`check_complete` audits each sweep's
+points on their own, and the file is complete once every
+``sweep_start`` has its ``sweep_done``.
 Events of types this version does not emit (older ledgers) are skipped.
 
 :func:`summarize` folds an event list into a :class:`SweepStatus` used
@@ -323,24 +324,34 @@ def load_status(path: str) -> SweepStatus:
 
 
 def check_complete(events: List[Dict[str, Any]]) -> List[str]:
-    """Audit a finished ledger: every point its sweeps announced must
-    have exactly one terminal event, and every sweep must have returned.
+    """Audit a finished ledger: every point each sweep announced must
+    have exactly one terminal event in that sweep, and every sweep must
+    have returned. Sweeps in one ledger run one after another, so a
+    sweep's events are those from its ``sweep_start`` to the next; a
+    re-run sweep may measure a point an earlier sweep already did.
     Returns human-readable problem lines (empty means the terminal
     guarantee held)."""
     problems: List[str] = []
-    terminal: Dict[str, int] = {}
+    # (announced points, terminal events per point); [0] holds events
+    # logged before any sweep_start
+    sweeps: List[Tuple[int, Dict[str, int]]] = [(0, {})]
     for e in events:
-        if e.get("ev") in TERMINAL_EVENTS:
+        if e.get("ev") == "sweep_start":
+            sweeps.append((int(e.get("total_points", 0)), {}))
+        elif e.get("ev") in TERMINAL_EVENTS:
+            terminal = sweeps[-1][1]
             label = point_label(e)
             terminal[label] = terminal.get(label, 0) + 1
+    for i, (announced, terminal) in enumerate(sweeps):
+        where = f"sweep {i}: " if len(sweeps) > 2 else ""
+        for label, n in sorted(terminal.items()):
+            if n != 1:
+                problems.append(f"{where}{label}: {n} terminal events "
+                                f"(expected 1)")
+        if announced and len(terminal) != announced:
+            problems.append(f"{where}{len(terminal)} distinct points have "
+                            f"terminal events, {announced} announced")
     st = summarize(events)
-    for label, n in sorted(terminal.items()):
-        if n != 1:
-            problems.append(f"{label}: {n} terminal events (expected 1)")
-    if st.total_points and len(terminal) != st.total_points:
-        problems.append(f"{len(terminal)} distinct points have terminal "
-                        f"events, {st.sweeps} sweep(s) announced "
-                        f"{st.total_points}")
     if not st.complete and not problems:
         if st.sweeps <= 1:
             problems.append("no sweep_done event (sweep crashed or still "

@@ -6,8 +6,7 @@
   (cycle, committed, live KIPS), throttled by wall time. Routed through
   the central logging layer (:mod:`repro.obs.log`) so ``--quiet``
   silences it and ``--log-json`` structures it; when logging was never
-  configured (bare library use) it falls back to a plain stderr line,
-  and an explicitly passed ``stream`` always wins (tests, embedding).
+  configured (bare library use) it falls back to a plain stderr line.
 """
 
 import sys
@@ -24,11 +23,8 @@ _log = obs_log.get_logger("profiler")
 class HostProfiler:
     """Wall-clock throughput and heartbeat."""
 
-    def __init__(self, heartbeat_s: float = 0.0, stream=None):
+    def __init__(self, heartbeat_s: float = 0.0):
         self.heartbeat_s = heartbeat_s
-        #: None routes heartbeats through the logging layer; a stream
-        #: pins them to that stream regardless of log configuration.
-        self.stream = stream
         self.wall_seconds = 0.0
         self.instructions = 0
         self.cycles = 0
@@ -95,18 +91,16 @@ class HostProfiler:
         done = core.stats.committed - self._start_committed
         kips = done / elapsed / 1000.0 if elapsed else 0.0
         self.heartbeats += 1
-        message = (f"cycle {core.cycle} committed {core.stats.committed} "
-                   f"({kips:.1f} KIPS)")
-        if self.stream is not None:
-            print(f"[repro] {message}", file=self.stream)
-        elif obs_log.is_configured():
+        if obs_log.is_configured():
             _log.info("heartbeat", extra={"data": {
                 "cycle": core.cycle, "committed": core.stats.committed,
                 "kips": round(kips, 1)}})
         else:
             # Library use with no logging configured: keep the legacy
             # plain stderr line rather than swallowing the progress.
-            print(f"[repro] {message}", file=sys.stderr)
+            print(f"[repro] cycle {core.cycle} committed "
+                  f"{core.stats.committed} ({kips:.1f} KIPS)",
+                  file=sys.stderr)
 
     # ------------------------------------------------------------ report
 

@@ -34,22 +34,20 @@ class Telemetry:
 
     Args:
         interval: interval-sampler period in cycles; 0 disables sampling.
-        trace: enable the pipeline event tracer.
-        trace_capacity: ring-buffer size for the tracer.
+        trace: enable the pipeline event tracer (a ring buffer of the
+            tracer's default capacity).
         profile: enable host-side throughput profiling.
         heartbeat_s: print a progress line every this many wall seconds
             (0 disables).
     """
 
     def __init__(self, interval: int = 0, trace: bool = False,
-                 trace_capacity: int = 65536, profile: bool = False,
-                 heartbeat_s: float = 0.0, stream=None):
+                 profile: bool = False, heartbeat_s: float = 0.0):
         self.sampler = IntervalSampler(interval) if interval else None
-        self.tracer = EventTracer(trace_capacity) if trace else None
+        self.tracer = EventTracer() if trace else None
         self.profiler = None
         if profile or heartbeat_s:
-            self.profiler = HostProfiler(heartbeat_s=heartbeat_s,
-                                         stream=stream)
+            self.profiler = HostProfiler(heartbeat_s=heartbeat_s)
         self.registry = None
         self.core = None
         self.result = None

@@ -93,7 +93,7 @@ class FaultInjector:
 
     Args:
         intervals: the accountant's recorded (structure, start, end, bits)
-            tuples (simulate with ``record_intervals=True``).
+            tuples (``OutOfOrderCore(..., record_ace_intervals=True)``).
         core_params: sizing used to weight strikes across structures.
         cycles: simulated duration T (strikes sample cycle ∈ [0, T)).
         seed: RNG seed for reproducible campaigns.

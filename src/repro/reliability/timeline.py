@@ -21,7 +21,7 @@ def avf_timeline(
 
     Args:
         intervals: recorded (structure, start, end, bits) charges
-            (simulate with ``record_ace_intervals=True``).
+            (``OutOfOrderCore(..., record_ace_intervals=True)``).
         total_bits: the machine's unprotected-bit count N.
         cycles: simulated duration T.
         window: window length in cycles.

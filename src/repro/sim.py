@@ -14,6 +14,8 @@ from typing import Any, Dict, Optional, Tuple, Union
 from repro.common.params import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP, \
     MachineParams
 from repro.core.core import OutOfOrderCore
+from repro.core.fastfwd import DEFAULT_WARMUP_MODE, detailed_tail, \
+    functional_warmup, validate_warmup_mode
 from repro.core.runahead import RunaheadPolicy, get_policy
 from repro.isa.trace import Trace
 from repro.reliability.metrics import mttf_relative, normalized_abc
@@ -160,20 +162,31 @@ def warm_core(
     telemetry=None,
     validate: bool = False,
     oracle: bool = False,
+    warmup_mode: str = DEFAULT_WARMUP_MODE,
 ) -> Tuple[OutOfOrderCore, str]:
-    """The front half of :func:`simulate`, also measured directly by the
-    sweep runner: :func:`build_core`, the commit oracle when ``oracle``
-    is set (it checks the warmup retirements too), then ``warmup``
-    detailed commits. Returns ``(core, workload name)`` for
+    """The one warmup sequence: the front half of :func:`simulate`, of
+    :func:`repro.checkpoint.warm_checkpoint` and of every unshared sweep
+    point. Runs :func:`build_core`; under ``warmup_mode="fast"`` the
+    functional walk (:func:`repro.core.fastfwd.functional_warmup`) over
+    all but the detailed tail; the commit oracle when ``oracle`` is set
+    (so it checks every detailed warmup retirement); then the detailed
+    warmup instructions. Returns ``(core, workload name)`` for
     :func:`measure`."""
+    validate_warmup_mode(warmup_mode)
     core, name = build_core(workload, machine, policy, seed,
                             telemetry=telemetry, validate=validate)
+    detailed = warmup
+    if warmup_mode == "fast":
+        # Functional walk over the bulk, detailed core over the
+        # recency-dominated tail (see repro.core.fastfwd).
+        detailed = detailed_tail(warmup)
+        functional_warmup(core, warmup - detailed)
     if oracle:
         # Lazy import, same pattern as the invariant checker wiring.
         from repro.validate.oracle import attach_oracle
         attach_oracle(core)
-    if warmup > 0:
-        core.run(warmup)
+    if detailed > 0:
+        core.run(detailed)
     return core, name
 
 
@@ -186,8 +199,7 @@ def build_core(
 ) -> Tuple[OutOfOrderCore, str]:
     """Build the cold core of one point; returns ``(core, workload name)``.
 
-    The build sequence shared by :func:`warm_core` and
-    :func:`repro.checkpoint.warm_checkpoint`: resolve the workload and
+    The first step of :func:`warm_core`: resolve the workload and
     the policy, build the trace under ``seed``, construct the core and
     preload the workload's resident regions. A bare :class:`Trace` is
     used as is, with nothing to preload. ``seed=None`` keeps the
@@ -218,13 +230,13 @@ def measure(core: OutOfOrderCore, instructions: int,
             name: str) -> SimResult:
     """Measure the next ``instructions`` commits of ``core``.
 
-    The measure sequence shared by :func:`simulate`,
-    :func:`repro.checkpoint.simulate_from` and the sweep runner: open
-    the attached telemetry's measurement window and restart the attached
-    commit oracle's digest, run, take the result as the delta over the
-    window, run the end-of-run checks of the invariant sanitizer and the
-    commit oracle when they are attached, and close the telemetry
-    window. ``name`` labels the result's workload. After it returns,
+    The measure sequence that ends every point, whether its core came
+    from :func:`warm_core` or :meth:`repro.checkpoint.Checkpoint.fork`:
+    open the attached telemetry's measurement window and restart the
+    attached commit oracle's digest, run, take the result as the delta
+    over the window, run the end-of-run checks of the invariant
+    sanitizer and the commit oracle when they are attached, and close
+    the telemetry window. ``name`` labels the result's workload. After it returns,
     ``core.oracle.digest()`` covers exactly the measured window, whether
     the oracle rode through the warmup or was attached to a fork.
     """

@@ -5,12 +5,14 @@ policy, seed) point:
 
 - ``facade`` — a cold :func:`repro.sim.simulate` (warmup + measure in
   one core).
-- ``fork`` — :func:`repro.checkpoint.warm_checkpoint` then
-  :func:`repro.checkpoint.simulate_from` under the same policy, which
-  the checkpoint layer contracts to be bit-identical to the cold run.
+- ``fork`` — :func:`repro.checkpoint.warm_checkpoint`, then
+  :meth:`~repro.checkpoint.Checkpoint.fork` under the same policy and
+  :func:`repro.sim.measure`, which the checkpoint layer contracts to be
+  bit-identical to the cold run.
 
-The sweep runner, and so the golden tier, measures every point through
-one of these two sequences.
+The sweep runner, and so the golden tier, measures every point from
+one of these two cores: an unshared point from
+:func:`repro.sim.warm_core`'s, a shared-warmup point from a fork.
 
 The farm's pickled round trip (``run_matrix(jobs=N)``) is checked
 against the serial sweep by ``tests/analysis/test_farm.py`` and
@@ -141,11 +143,14 @@ def _run_point(path: str, workload, machine, policy: str,
         from repro.obs import Telemetry
         telemetry = Telemetry(interval=interval)
     if path == "fork":
-        from repro.checkpoint import simulate_from, warm_checkpoint
+        from repro.checkpoint import warm_checkpoint
+        from repro.sim import measure
         ckpt = warm_checkpoint(workload, machine, policy, warmup=warmup,
                                seed=seed, validate=validate)
-        result = simulate_from(ckpt, policy, instructions=instructions,
-                               telemetry=telemetry, validate=validate)
+        core = ckpt.fork(policy, validate=validate)
+        if telemetry is not None:
+            telemetry.attach(core)
+        result = measure(core, instructions, ckpt.workload)
     else:
         from repro.sim import simulate
         result = simulate(workload, machine, policy,

@@ -7,7 +7,9 @@ runahead episodes and real pipeline timing. This module quantifies the
 approximation the way simplified-vs-detailed model validations do
 (Zhang et al.; the Chatzopoulos RISC-V methodology, see PAPERS.md): run
 the same measured region from a detailed-warmed and a fast-warmed
-checkpoint and compare the measured-region metrics point by point.
+:func:`repro.sim.warm_core` core — the exact sequence ``repro run``
+and unshared sweep points execute — and compare the measured-region
+metrics point by point.
 
 The grid is {mcf, lbm, gcc} × {OOO, FLUSH, TR, PRE, RAR} by default —
 the paper's core policies over memory-bound and compute-bound
@@ -29,9 +31,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.checkpoint import simulate_from, warm_checkpoint
 from repro.common.params import BASELINE, MachineParams
-from repro.sim import SimResult
+from repro.sim import SimResult, measure, warm_core
 
 __all__ = ["TOLERANCES", "WARMVAL_POLICIES", "WARMVAL_WORKLOADS",
            "WarmvalPoint", "WarmvalReport", "run_warmval", "warmval_table"]
@@ -185,9 +186,9 @@ def run_warmval(
 
     Each point warms its *own* policy in both modes (the exact-policy
     shape, so the detailed leg is bit-identical to a cold
-    ``simulate()``) and measures the same region from each checkpoint.
-    Warmup wall time is recorded per mode; everything lands in the
-    returned :class:`WarmvalReport`.
+    ``simulate()``) and measures the same region from each warmed core.
+    Warmup wall time (core build included) is recorded per mode;
+    everything lands in the returned :class:`WarmvalReport`.
     """
     report = WarmvalReport(machine=machine.name, instructions=instructions,
                            warmup=warmup)
@@ -196,17 +197,14 @@ def run_warmval(
             point = WarmvalPoint(workload=workload, policy=policy,
                                  machine=machine.name)
             t0 = time.perf_counter()
-            ck_detailed = warm_checkpoint(workload, machine, policy,
-                                          warmup=warmup, seed=seed)
+            core, name = warm_core(workload, machine, policy, warmup, seed)
             point.warm_wall_detailed_s = time.perf_counter() - t0
+            detailed = measure(core, instructions, name)
             t0 = time.perf_counter()
-            ck_fast = warm_checkpoint(workload, machine, policy,
-                                      warmup=warmup, seed=seed,
-                                      warmup_mode="fast")
+            core, name = warm_core(workload, machine, policy, warmup, seed,
+                                   warmup_mode="fast")
             point.warm_wall_fast_s = time.perf_counter() - t0
-            detailed = simulate_from(ck_detailed,
-                                     instructions=instructions)
-            fast = simulate_from(ck_fast, instructions=instructions)
+            fast = measure(core, instructions, name)
             _compare(detailed, fast, point)
             report.points.append(point)
     return report

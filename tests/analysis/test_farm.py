@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.analysis.experiments import ExperimentRunner
-from repro.analysis.farm import DEFAULT_MAX_RETRIES, FarmScheduler
+from repro.analysis.farm import MAX_RETRIES, FarmScheduler
 from repro.common.params import BASELINE
 from repro.obs.ledger import check_complete, read_ledger, summarize
 
@@ -87,7 +87,7 @@ class TestQuarantine:
         st = summarize(events)
         assert st.quarantined == 1
         # the retry budget was actually spent before giving up
-        assert st.worker_deaths == DEFAULT_MAX_RETRIES + 1
+        assert st.worker_deaths == MAX_RETRIES + 1
         assert check_complete(events) == []
         quarantines = [e for e in events
                        if e["ev"] == "point_quarantined"]

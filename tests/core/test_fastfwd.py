@@ -12,7 +12,7 @@ import dataclasses
 import pytest
 
 from repro.analysis.experiments import ExperimentRunner, _variant
-from repro.checkpoint import CheckpointCache, simulate_from, warm_checkpoint
+from repro.checkpoint import Checkpoint, CheckpointCache, warm_checkpoint
 from repro.common.params import BASELINE
 from repro.core.core import OutOfOrderCore
 from repro.core.fastfwd import (
@@ -22,7 +22,7 @@ from repro.core.fastfwd import (
     validate_warmup_mode,
 )
 from repro.core.runahead import get_policy
-from repro.sim import simulate
+from repro.sim import measure, simulate, warm_core
 from repro.workloads import get_workload
 
 N, W = 1000, 500
@@ -88,9 +88,9 @@ class TestInterchangeability:
         cold = simulate("mcf", BASELINE, "RAR", instructions=N, warmup=0,
                         seed=7)
         for mode in ("detailed", "fast"):
-            ck = warm_checkpoint("mcf", BASELINE, "RAR", warmup=0, seed=7,
-                                 warmup_mode=mode)
-            assert simulate_from(ck, instructions=N) == cold, mode
+            core, name = warm_core("mcf", BASELINE, "RAR", 0, 7,
+                                   warmup_mode=mode)
+            assert measure(core, N, name) == cold, mode
 
     def test_blob_schema_matches_detailed(self):
         """Fast capture goes through the identical snapshot machinery."""
@@ -110,21 +110,59 @@ class TestInterchangeability:
         """Two forks of one fast checkpoint measure identically."""
         ck = warm_checkpoint("mcf", BASELINE, "RAR", warmup=W, seed=3,
                              warmup_mode="fast")
-        assert (simulate_from(ck, instructions=N)
-                == simulate_from(ck, instructions=N))
+        assert (measure(ck.fork(), N, "mcf")
+                == measure(ck.fork(), N, "mcf"))
 
     def test_cross_policy_fork_runs(self):
         ck = warm_checkpoint("mcf", BASELINE, "OOO", warmup=W,
                              warmup_mode="fast")
-        r = simulate_from(ck, "RAR", instructions=N)
+        r = measure(ck.fork("RAR"), N, "mcf")
         assert r.policy == "RAR"
         assert N <= r.instructions < N + BASELINE.core.width
 
     def test_oracle_and_validate_accept_fast_fork(self):
         ck = warm_checkpoint("mcf", BASELINE, "RAR", warmup=W,
                              warmup_mode="fast")
-        r = simulate_from(ck, instructions=N, validate=True, oracle=True)
+        r = measure(ck.fork(validate=True, oracle=True), N, "mcf")
         assert r.instructions >= N
+
+    @pytest.mark.parametrize("workload", ["mcf", "lbm"])
+    @pytest.mark.parametrize("policy", ["OOO", "RAR"])
+    def test_fast_warm_core_equals_fast_fork(self, workload, policy):
+        """An unshared fast point measures ``warm_core``'s core with the
+        oracle riding through the detailed tail; it gives the result and
+        the measured-window commit digest of a fork of a fast-warmed
+        checkpoint with the oracle attached after the restore."""
+        core, name = warm_core(workload, BASELINE, policy, W, 5,
+                               oracle=True, warmup_mode="fast")
+        direct = measure(core, N, name)
+        ck = warm_checkpoint(workload, BASELINE, policy, warmup=W, seed=5,
+                             warmup_mode="fast")
+        fork = ck.fork(oracle=True)
+        assert measure(fork, N, workload) == direct
+        assert fork.oracle.digest() == core.oracle.digest()
+
+    def test_unshared_fast_sweep_captures_nothing(self, tmp_path,
+                                                  monkeypatch):
+        """Without a shared warmup a fast point warms its own core: no
+        checkpoint is captured and no ``warmup_shared`` is logged."""
+        from repro.obs.ledger import read_ledger
+        captures = []
+        capture = Checkpoint.capture
+
+        def counting_capture(*args, **kwargs):
+            captures.append(args)
+            return capture(*args, **kwargs)
+
+        monkeypatch.setattr(Checkpoint, "capture", counting_capture)
+        ledger = str(tmp_path / "l.jsonl")
+        out = ExperimentRunner(instructions=N, warmup=W).run_matrix(
+            ["mcf", "x264"], BASELINE, ["OOO", "RAR"],
+            warmup_mode="fast", ledger=ledger)
+        assert out.ok and captures == []
+        events = [e["ev"] for e in read_ledger(ledger)]
+        assert events.count("point_done") == 4
+        assert "warmup_shared" not in events
 
     def test_matrix_parallel_matches_serial(self, tmp_path):
         """Farm workers reproduce the serial fast-mode results."""

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.common.params import BASELINE, DramParams
-from repro.checkpoint import simulate_from, warm_checkpoint
+from repro.checkpoint import warm_checkpoint
 from repro.memory.dram import (
     DRAM_PRESETS,
     AddressMapping,
@@ -338,8 +338,8 @@ class TestCheckpointing:
         machine = BASELINE.with_dram(
             dram_preset("ddr4-3200", scheduler="frfcfs"),
             name="ck-ddr4-frfcfs")
-        from repro.sim import simulate
+        from repro.sim import measure, simulate
         cold = simulate("mcf", machine, "RAR", instructions=800,
                         warmup=400, seed=11)
         ck = warm_checkpoint("mcf", machine, "RAR", warmup=400, seed=11)
-        assert simulate_from(ck, instructions=800) == cold
+        assert measure(ck.fork(), 800, "mcf") == cold

@@ -164,18 +164,34 @@ class TestCheckComplete:
                                           "crashed or still running)"]
 
     def test_two_sweeps_in_one_ledger_audit_clean(self, tmp_path):
-        """Two sweeps appending to one ledger (``sweep -m A B --ledger``):
-        their announced points add up."""
+        """Sweeps appending to one ledger (``sweep -m A B --ledger``, or a
+        re-run that resumes from the cache): their announced points add
+        up, and each sweep is audited on its own, so a later sweep may
+        measure a point an earlier one already did."""
         from repro.analysis.experiments import ExperimentRunner
         from repro.common.params import BASELINE, CORE1
         path = str(tmp_path / "l.jsonl")
         runner = ExperimentRunner(instructions=300, warmup=150)
         runner.run_matrix(["x264"], BASELINE, ["OOO", "RAR"], ledger=path)
         runner.run_matrix(["x264", "mcf"], CORE1, ["OOO"], ledger=path)
+        runner.run_matrix(["x264"], BASELINE, ["OOO", "RAR"], ledger=path)
         events = read_ledger(path)
         assert check_complete(events) == []
         st = summarize(events)
-        assert st.total_points == 4 and st.sweeps == 2 and st.complete
+        assert st.total_points == 6 and st.sweeps == 3 and st.complete
+
+    def test_duplicate_within_one_of_several_sweeps_flagged(self, tmp_path):
+        path = str(tmp_path / "l.jsonl")
+        led = RunLedger(path)
+        for extra in (False, True):
+            led.sweep_start(total_points=1, manifest={})
+            for _ in range(1 + extra):
+                led.point_done(workload="mcf", machine="baseline",
+                               policy="OOO", wall_s=1.0, kips=5.0,
+                               manifest={})
+            led.sweep_done(elapsed_s=1.0, points_run=1)
+        assert check_complete(read_ledger(path)) == [
+            "sweep 2: mcf/baseline/OOO: 2 terminal events (expected 1)"]
 
     def test_sweep_without_sweep_done_among_several_flagged(self, tmp_path):
         path = str(tmp_path / "l.jsonl")

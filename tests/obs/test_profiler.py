@@ -1,4 +1,4 @@
-"""HostProfiler heartbeat: throttle gate, stream pinning, log routing."""
+"""HostProfiler heartbeat: throttle gate and log routing."""
 
 import io
 import types
@@ -21,9 +21,9 @@ def _core(cycle=1000, committed=500):
         cycle=cycle, stats=types.SimpleNamespace(committed=committed))
 
 
-def _started(heartbeat_s=1e-9, stream=None):
+def _started(heartbeat_s=1e-9):
     """A profiler mid-region whose heartbeat period has already passed."""
-    prof = HostProfiler(heartbeat_s=heartbeat_s, stream=stream)
+    prof = HostProfiler(heartbeat_s=heartbeat_s)
     prof._t0 = 0.0
     prof._start_committed = 0
     prof._hb_next = 0.0
@@ -31,17 +31,17 @@ def _started(heartbeat_s=1e-9, stream=None):
 
 
 class TestHeartbeatGate:
-    def test_disabled_without_period(self):
-        prof = HostProfiler(stream=io.StringIO())
+    def test_disabled_without_period(self, capsys):
+        prof = HostProfiler()
         for _ in range(1024):
             prof.maybe_heartbeat(_core())
         assert prof.heartbeats == 0
-        assert prof.stream.getvalue() == ""
+        assert capsys.readouterr().err == ""
 
     def test_256_call_gate(self):
         """perf_counter is consulted only every 256th call, so the first
         255 calls never heartbeat even with the period long expired."""
-        prof = _started(stream=io.StringIO())
+        prof = _started()
         for _ in range(255):
             prof.maybe_heartbeat(_core())
         assert prof.heartbeats == 0
@@ -49,13 +49,13 @@ class TestHeartbeatGate:
         assert prof.heartbeats == 1
 
     def test_period_throttles(self):
-        prof = _started(heartbeat_s=3600.0, stream=io.StringIO())
+        prof = _started(heartbeat_s=3600.0)
         for _ in range(1024):
             prof.maybe_heartbeat(_core())
         assert prof.heartbeats == 1  # first fires, then next-period gate
 
     def test_not_started_never_fires(self):
-        prof = HostProfiler(heartbeat_s=1e-9, stream=io.StringIO())
+        prof = HostProfiler(heartbeat_s=1e-9)
         for _ in range(512):
             prof.maybe_heartbeat(_core())
         assert prof.heartbeats == 0
@@ -65,15 +65,6 @@ class TestHeartbeatRouting:
     def _fire(self, prof):
         for _ in range(256):
             prof.maybe_heartbeat(_core(cycle=4242, committed=1234))
-
-    def test_explicit_stream_always_wins(self):
-        buf = io.StringIO()
-        obs_log.configure(stream=io.StringIO())  # configured, but...
-        prof = _started(stream=buf)
-        self._fire(prof)
-        line = buf.getvalue()
-        assert line.startswith("[repro] cycle 4242 committed 1234")
-        assert "KIPS" in line
 
     def test_routes_through_logging_when_configured(self):
         buf = io.StringIO()
@@ -108,4 +99,5 @@ class TestHeartbeatRouting:
         prof = _started()
         self._fire(prof)
         err = capsys.readouterr().err
-        assert "[repro] cycle 4242" in err
+        assert err.startswith("[repro] cycle 4242 committed 1234")
+        assert "KIPS" in err

@@ -166,9 +166,13 @@ class TestDisabledTelemetryIsInert:
 class TestProfiler:
     def test_heartbeat_stream(self):
         import io
-        stream = io.StringIO()
-        tele = Telemetry(heartbeat_s=1e-9, stream=stream)
-        simulate("mcf", BASELINE, "OOO", instructions=2000, warmup=500,
-                 telemetry=tele)
-        out = stream.getvalue()
-        assert "KIPS" in out and "cycle" in out
+        from repro.obs import log as obs_log
+        buf = io.StringIO()
+        obs_log.configure(stream=buf)
+        try:
+            simulate("mcf", BASELINE, "OOO", instructions=2000, warmup=500,
+                     telemetry=Telemetry(heartbeat_s=1e-9))
+        finally:
+            obs_log.reset()
+        out = buf.getvalue()
+        assert "heartbeat" in out and "kips=" in out and "cycle=" in out

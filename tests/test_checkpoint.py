@@ -3,9 +3,9 @@
 import pytest
 
 from repro.analysis.experiments import ExperimentRunner
-from repro.checkpoint import Checkpoint, simulate_from, warm_checkpoint
+from repro.checkpoint import Checkpoint, warm_checkpoint
 from repro.common.params import BASELINE, CORE1
-from repro.sim import SimResult, simulate
+from repro.sim import SimResult, measure, simulate
 
 #: The paper's five main policies — the acceptance criterion demands
 #: bit-identity for every one of them.
@@ -17,11 +17,11 @@ N, W = 1000, 500
 class TestBitIdentity:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_fork_matches_cold_run(self, policy):
-        """simulate_from(warm_checkpoint(P), P) == cold simulate(P)."""
+        """measure(warm_checkpoint(P).fork()) == cold simulate(P)."""
         cold = simulate("mcf", BASELINE, policy, instructions=N, warmup=W,
                         seed=7)
         ck = warm_checkpoint("mcf", BASELINE, policy, warmup=W, seed=7)
-        forked = simulate_from(ck, instructions=N)
+        forked = measure(ck.fork(), N, ck.workload)
         assert forked == cold  # every field, bit for bit
 
     def test_serial_forked_and_multiprocess_agree(self, tmp_path):
@@ -34,7 +34,7 @@ class TestBitIdentity:
         for w in workloads:
             for p in POLICIES:
                 ck = warm_checkpoint(w, BASELINE, p, warmup=W)
-                forked[(w, p)] = simulate_from(ck, instructions=N)
+                forked[(w, p)] = measure(ck.fork(), N, w)
 
         runner = ExperimentRunner(instructions=N, warmup=W,
                                   cache_path=str(tmp_path / "cache.json"))
@@ -48,8 +48,8 @@ class TestBitIdentity:
     def test_double_fork_no_cross_contamination(self):
         """Two forks of one checkpoint are independent and identical."""
         ck = warm_checkpoint("mcf", BASELINE, "RAR", warmup=W, seed=3)
-        first = simulate_from(ck, instructions=N)
-        second = simulate_from(ck, instructions=N)
+        first = measure(ck.fork(), N, "mcf")
+        second = measure(ck.fork(), N, "mcf")
         assert first == second
 
 
@@ -57,7 +57,7 @@ class TestCheckpointApi:
     def test_cross_policy_fork_runs(self):
         """Shared-warmup approximation: fork under a different policy."""
         ck = warm_checkpoint("mcf", BASELINE, "OOO", warmup=W)
-        r = simulate_from(ck, "RAR", instructions=N)
+        r = measure(ck.fork("RAR"), N, "mcf")
         assert r.policy == "RAR"
         # commit can overshoot by at most the commit width in the last cycle
         assert N <= r.instructions < N + BASELINE.core.width
@@ -71,14 +71,14 @@ class TestCheckpointApi:
 
     def test_zero_warmup_checkpoint(self):
         ck = warm_checkpoint("x264", BASELINE, "OOO", warmup=0)
-        r = simulate_from(ck, instructions=400)
+        r = measure(ck.fork(), 400, "x264")
         assert r == simulate("x264", BASELINE, "OOO", instructions=400,
                              warmup=0)
 
     def test_rejects_nonpositive_instructions(self):
         ck = warm_checkpoint("x264", BASELINE, "OOO", warmup=100)
         with pytest.raises(ValueError):
-            simulate_from(ck, instructions=0)
+            measure(ck.fork(), 0, "x264")
 
     def test_fork_is_checkpoint_method(self):
         ck = warm_checkpoint("x264", BASELINE, "OOO", warmup=100)
@@ -88,13 +88,23 @@ class TestCheckpointApi:
         assert core.stats.committed >= 100  # warmed state restored
 
     def test_telemetry_attaches_to_fork(self):
+        """A fork's stats tree equals a cold run's: every registry
+        getter reads the restored state, ``ace.<s>.bits`` included."""
         from repro.obs import Telemetry
         ck = warm_checkpoint("mcf", BASELINE, "RAR", warmup=W)
         tel = Telemetry(interval=100)
-        r = simulate_from(ck, instructions=N, telemetry=tel)
+        core = ck.fork()
+        tel.attach(core)
+        r = measure(core, N, "mcf")
         assert len(tel.sampler.rows) >= 5
         payload = tel.stats_dict(r)
         assert payload["result"]["instructions"] == r.instructions
+        cold_tel = Telemetry(interval=100)
+        cold = simulate("mcf", BASELINE, "RAR", instructions=N, warmup=W,
+                        telemetry=cold_tel)
+        assert cold == r
+        assert payload["stats"] == cold_tel.stats_dict(cold)["stats"]
+        assert payload["stats"]["ace"]["rob"]["bits"] == r.abc["rob"] > 0
 
 
 class TestSimResultRoundTrip:
@@ -144,8 +154,8 @@ class TestCheckpointCache:
         assert (cache.hits, cache.misses) == (1, 1)
         # a cached checkpoint measures bit-identically to a fresh one
         fresh = warm_checkpoint("mcf", BASELINE, "OOO", warmup=300)
-        assert simulate_from(a, "RAR", instructions=500) == \
-            simulate_from(fresh, "RAR", instructions=500)
+        assert measure(a.fork("RAR"), 500, "mcf") == \
+            measure(fresh.fork("RAR"), 500, "mcf")
 
     def test_key_pins_machine_policy_and_warmup(self):
         from repro.checkpoint import CheckpointCache

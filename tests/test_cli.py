@@ -480,6 +480,14 @@ class TestWarmupMode:
         out = capsys.readouterr().out
         assert "IPC" in out and "AVF" in out
 
+    def test_run_fast_mode_stamps_stats_manifest(self, tmp_path, capsys):
+        import json
+        s = tmp_path / "s.json"
+        assert main(["run", "mcf", "RAR", "-n", "500", "-w", "400",
+                     "--warmup-mode", "fast", "--stats-out", str(s)]) == 0
+        point = json.loads(s.read_text())["manifest"]["point"]
+        assert point["warmup_mode"] == "fast"
+
     def test_sweep_fast_mode_stamps_artifacts(self, tmp_path, capsys):
         import json
         out_file = tmp_path / "sweep.json"

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.checkpoint import simulate_from, warm_checkpoint
+from repro.checkpoint import warm_checkpoint
 from repro.common.params import BASELINE
 from repro.core.core import OutOfOrderCore
-from repro.sim import simulate
+from repro.sim import measure, simulate
 from repro.validate import InvariantChecker, InvariantViolation
 from repro.workloads.catalog import get_workload
 
@@ -63,8 +63,8 @@ class TestCleanRuns:
         """Sanitized and unsanitized cores exchange checkpoints freely."""
         ck = warm_checkpoint("mcf", BASELINE, "PRE", warmup=500,
                              validate=True)
-        plain = simulate_from(ck, "PRE", instructions=1000)
-        checked = simulate_from(ck, "PRE", instructions=1000, validate=True)
+        plain = measure(ck.fork("PRE"), 1000, "mcf")
+        checked = measure(ck.fork("PRE", validate=True), 1000, "mcf")
         assert plain.to_dict() == checked.to_dict()
 
 

@@ -3,14 +3,14 @@ fires on corruption, finite traces end in a clean terminal commit."""
 
 import pytest
 
-from repro.checkpoint import simulate_from, warm_checkpoint
+from repro.checkpoint import warm_checkpoint
 from repro.common.enums import Mode, UopClass
 from repro.common.params import BASELINE
 from repro.core.core import OutOfOrderCore
 from repro.core.runahead import get_policy
 from repro.isa.trace import Trace
 from repro.isa.uop import NO_ADDR, DynUop, StaticUop
-from repro.sim import simulate
+from repro.sim import measure, simulate
 from repro.validate import CommitOracle, OracleViolation, attach_oracle
 from repro.workloads.catalog import get_workload
 
@@ -96,8 +96,8 @@ class TestCleanRuns:
         """A fork's oracle picks up mid-stream and the result matches a
         plain fork bit for bit."""
         ck = warm_checkpoint("mcf", BASELINE, "PRE", warmup=500)
-        plain = simulate_from(ck, "PRE", instructions=1000)
-        checked = simulate_from(ck, "PRE", instructions=1000, oracle=True)
+        plain = measure(ck.fork("PRE"), 1000, "mcf")
+        checked = measure(ck.fork("PRE", oracle=True), 1000, "mcf")
         assert plain.to_dict() == checked.to_dict()
         core = ck.fork(oracle=True)
         assert core.oracle.start_idx >= 500
