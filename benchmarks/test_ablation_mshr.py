@@ -14,13 +14,12 @@ from conftest import once
 from repro.analysis.stats import hmean
 from repro.analysis.tables import format_table
 from repro.common.params import BASELINE
-from repro.workloads.catalog import MEMORY_WORKLOADS
 
 MSHRS = (8, 20, 40)
 WORKLOADS = ("libquantum", "fotonik", "bwaves")
 
 
-def test_ablation_mshr(benchmark, runner, report):
+def test_ablation_mshr(benchmark, sweep, report):
     def build():
         rows = []
         data = {}
@@ -28,11 +27,11 @@ def test_ablation_mshr(benchmark, runner, report):
             machine = replace(
                 BASELINE, l1d=replace(BASELINE.l1d, mshrs=n),
                 name=f"baseline-mshr{n}")
+            matrix = sweep(WORKLOADS, machine, ("OOO", "RAR"))
             ipc_ooo, ipc_rar, mlp_ooo, mlp_rar = [], [], [], []
             for name in WORKLOADS:
-                w = next(x for x in MEMORY_WORKLOADS if x.name == name)
-                ooo = runner.run(w, machine, "OOO")
-                rar = runner.run(w, machine, "RAR")
+                ooo = matrix["OOO"][name]
+                rar = matrix["RAR"][name]
                 ipc_ooo.append(ooo.ipc)
                 ipc_rar.append(rar.ipc)
                 mlp_ooo.append(ooo.mlp)

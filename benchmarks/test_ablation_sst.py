@@ -14,26 +14,25 @@ from conftest import once
 from repro.analysis.stats import gmean, hmean
 from repro.analysis.tables import format_table
 from repro.common.params import BASELINE
-from repro.workloads.catalog import MEMORY_WORKLOADS
 
 SIZES = (8, 32, 128)
 WORKLOADS = ("libquantum", "gcc", "milc")
 
 
-def test_ablation_sst(benchmark, runner, report):
+def test_ablation_sst(benchmark, sweep, report):
     def build():
+        base = sweep(WORKLOADS, BASELINE, ("OOO",))["OOO"]
         rows = []
         data = {}
         for n in SIZES:
             machine = BASELINE.with_core(
                 replace(BASELINE.core, sst_size=n), name=f"baseline-sst{n}")
+            rar = sweep(WORKLOADS, machine, ("RAR",))["RAR"]
             ipcs, mttfs, prefetches = [], [], 0
             for name in WORKLOADS:
-                w = next(x for x in MEMORY_WORKLOADS if x.name == name)
-                base = runner.run(w, BASELINE, "OOO")
-                r = runner.run(w, machine, "RAR")
-                ipcs.append(r.ipc_rel(base))
-                mttfs.append(r.mttf_rel(base))
+                r = rar[name]
+                ipcs.append(r.ipc_rel(base[name]))
+                mttfs.append(r.mttf_rel(base[name]))
                 prefetches += r.runahead_prefetches
             data[n] = (hmean(ipcs), gmean(mttfs), prefetches)
             rows.append([n, *data[n]])

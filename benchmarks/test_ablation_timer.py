@@ -15,28 +15,27 @@ from conftest import once
 from repro.analysis.stats import amean, gmean, hmean
 from repro.analysis.tables import format_table
 from repro.common.params import BASELINE
-from repro.workloads.catalog import MEMORY_WORKLOADS
 
 THRESHOLDS = (3, 7, 15, 31, 63)
 #: subset keeps the sweep affordable; one stream-, one chase-, one IQ-bound
 WORKLOADS = ("libquantum", "mcf", "lbm")
 
 
-def test_ablation_timer(benchmark, runner, report):
+def test_ablation_timer(benchmark, sweep, report):
     def build():
+        base = sweep(WORKLOADS, BASELINE, ("OOO",))["OOO"]
         rows = []
         by_threshold = {}
         for t in THRESHOLDS:
             machine = BASELINE.with_core(
                 replace(BASELINE.core, head_timer_init=t),
                 name=f"baseline-timer{t}")
+            rar = sweep(WORKLOADS, machine, ("RAR",))["RAR"]
             mttfs, ipcs, trigs = [], [], []
             for name in WORKLOADS:
-                w = next(x for x in MEMORY_WORKLOADS if x.name == name)
-                base = runner.run(w, BASELINE, "OOO")
-                r = runner.run(w, machine, "RAR")
-                mttfs.append(r.mttf_rel(base))
-                ipcs.append(r.ipc_rel(base))
+                r = rar[name]
+                mttfs.append(r.mttf_rel(base[name]))
+                ipcs.append(r.ipc_rel(base[name]))
                 trigs.append(r.runahead_triggers)
             by_threshold[t] = (gmean(mttfs), hmean(ipcs))
             rows.append([t, gmean(mttfs), hmean(ipcs), amean(trigs)])

@@ -15,23 +15,22 @@ from conftest import once
 from repro.analysis.stats import gmean, hmean
 from repro.analysis.tables import format_table
 from repro.common.params import BASELINE
-from repro.workloads.catalog import MEMORY_WORKLOADS
 
 SHUFFLED = replace(BASELINE, page_shuffle_seed=2022, name="baseline-pgshuf")
 WORKLOADS = ("libquantum", "mcf", "milc")
 
 
-def test_ablation_translation(benchmark, runner, report):
+def test_ablation_translation(benchmark, sweep, report):
     def build():
         rows = []
         data = {}
         for label, machine in (("identity", BASELINE),
                                ("shuffled", SHUFFLED)):
+            matrix = sweep(WORKLOADS, machine, ("OOO", "RAR"))
             ipcs, mttfs, rar_ipcs = [], [], []
             for name in WORKLOADS:
-                w = next(x for x in MEMORY_WORKLOADS if x.name == name)
-                base = runner.run(w, machine, "OOO")
-                rar = runner.run(w, machine, "RAR")
+                base = matrix["OOO"][name]
+                rar = matrix["RAR"][name]
                 ipcs.append(base.ipc)
                 rar_ipcs.append(rar.ipc_rel(base))
                 mttfs.append(rar.mttf_rel(base))

@@ -19,14 +19,15 @@ from repro.workloads.catalog import MEMORY_WORKLOADS
 POLICIES = ("FLUSH", "TR", "PRE", "RAR-LATE", "RAR")
 
 
-def test_energy_comparison(benchmark, runner, report):
+def test_energy_comparison(benchmark, sweep, report):
     def build():
+        matrix = sweep(MEMORY_WORKLOADS, BASELINE, ("OOO",) + POLICIES)
         agg = {}
         for pol in POLICIES:
             epis, edps = [], []
             for w in MEMORY_WORKLOADS:
-                base = runner.run(w, BASELINE, "OOO")
-                r = runner.run(w, BASELINE, pol)
+                base = matrix["OOO"][w.name]
+                r = matrix[pol][w.name]
                 epis.append(energy_per_instruction(r)
                             / energy_per_instruction(base))
                 edps.append(energy_delay_product(r)

@@ -17,14 +17,15 @@ from repro.workloads.catalog import MEMORY_WORKLOADS
 POLICIES = ("FLUSH", "THROTTLE", "TR", "PRE", "RA-BUFFER", "RAR", "VEC-RAR")
 
 
-def test_extended_design_space(benchmark, runner, report):
+def test_extended_design_space(benchmark, sweep, report):
     def build():
+        matrix = sweep(MEMORY_WORKLOADS, BASELINE, ("OOO",) + POLICIES)
         agg = {}
         for pol in POLICIES:
             mttfs, abcs, ipcs = [], [], []
             for w in MEMORY_WORKLOADS:
-                base = runner.run(w, BASELINE, "OOO")
-                r = runner.run(w, BASELINE, pol)
+                base = matrix["OOO"][w.name]
+                r = matrix[pol][w.name]
                 mttfs.append(r.mttf_rel(base))
                 abcs.append(r.abc_rel(base))
                 ipcs.append(r.ipc_rel(base))

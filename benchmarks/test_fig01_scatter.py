@@ -17,15 +17,16 @@ from repro.workloads.catalog import MEMORY_WORKLOADS
 POLICIES = ("FLUSH", "TR", "PRE", "RAR")
 
 
-def test_fig01_scatter(benchmark, runner, report):
+def test_fig01_scatter(benchmark, sweep, report):
     def build():
+        matrix = sweep(MEMORY_WORKLOADS, BASELINE, ("OOO",) + POLICIES)
         rows = []
         points = {}
         for pol in POLICIES:
             mttfs, ipcs = [], []
             for w in MEMORY_WORKLOADS:
-                base = runner.run(w, BASELINE, "OOO")
-                r = runner.run(w, BASELINE, pol)
+                base = matrix["OOO"][w.name]
+                r = matrix[pol][w.name]
                 mttfs.append(r.mttf_rel(base))
                 ipcs.append(r.ipc_rel(base))
             points[pol] = (hmean(ipcs), gmean(mttfs))

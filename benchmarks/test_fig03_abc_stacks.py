@@ -15,11 +15,13 @@ from repro.reliability.ace import STRUCTURES
 from repro.workloads.catalog import COMPUTE_WORKLOADS, MEMORY_WORKLOADS
 
 
-def test_fig03_abc_stacks(benchmark, runner, report):
+def test_fig03_abc_stacks(benchmark, sweep, report):
     def build():
+        ooo = sweep(MEMORY_WORKLOADS + COMPUTE_WORKLOADS, BASELINE,
+                    ("OOO",))["OOO"]
         per_bench = {}
         for w in MEMORY_WORKLOADS + COMPUTE_WORKLOADS:
-            r = runner.run(w, BASELINE, "OOO")
+            r = ooo[w.name]
             # ABC per kilo-instruction so bars are comparable across runs.
             per_bench[w.name] = {
                 s: r.abc[s] / (r.instructions / 1000.0) for s in STRUCTURES

@@ -14,13 +14,14 @@ from repro.common.params import SCALED_MACHINES
 from repro.workloads.catalog import MEMORY_WORKLOADS
 
 
-def test_fig04_core_scaling(benchmark, runner, report):
+def test_fig04_core_scaling(benchmark, sweep, report):
     def build():
         abc_by_machine = {}
         for machine in SCALED_MACHINES:
+            ooo = sweep(MEMORY_WORKLOADS, machine, ("OOO",))["OOO"]
             vals = []
             for w in MEMORY_WORKLOADS:
-                r = runner.run(w, machine, "OOO")
+                r = ooo[w.name]
                 vals.append(r.abc_total / (r.instructions / 1000.0))
             abc_by_machine[machine.name] = amean(vals)
         base = abc_by_machine["core-1"]

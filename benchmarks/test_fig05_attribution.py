@@ -17,12 +17,13 @@ from repro.common.params import BASELINE
 from repro.workloads.catalog import MEMORY_WORKLOADS
 
 
-def test_fig05_attribution(benchmark, runner, report):
+def test_fig05_attribution(benchmark, sweep, report):
     def build():
+        ooo = sweep(MEMORY_WORKLOADS, BASELINE, ("OOO",))["OOO"]
         rows = []
         shares = {}
         for w in MEMORY_WORKLOADS:
-            r = runner.run(w, BASELINE, "OOO")
+            r = ooo[w.name]
             hb = r.abc_head_blocked / r.abc_total
             fs = r.abc_full_stall / r.abc_total
             shares[w.name] = (hb, fs)

@@ -16,20 +16,21 @@ from repro.workloads.catalog import COMPUTE_WORKLOADS, MEMORY_WORKLOADS
 POLICIES = ("FLUSH", "PRE", "RAR-LATE", "RAR")
 
 
-def _collect(runner, metric):
+def _collect(sweep, metric):
+    workloads = MEMORY_WORKLOADS + COMPUTE_WORKLOADS
+    matrix = sweep(workloads, BASELINE, ("OOO",) + POLICIES)
     per_bench = {}
-    for w in MEMORY_WORKLOADS + COMPUTE_WORKLOADS:
-        base = runner.run(w, BASELINE, "OOO")
+    for w in workloads:
+        base = matrix["OOO"][w.name]
         per_bench[w.name] = {
-            pol: metric(runner.run(w, BASELINE, pol), base)
-            for pol in POLICIES
+            pol: metric(matrix[pol][w.name], base) for pol in POLICIES
         }
     return per_bench
 
 
-def test_fig07a_mttf(benchmark, runner, report):
+def test_fig07a_mttf(benchmark, sweep, report):
     def build():
-        per_bench = _collect(runner, lambda r, b: r.mttf_rel(b))
+        per_bench = _collect(sweep, lambda r, b: r.mttf_rel(b))
         rows = [[name] + [vals[p] for p in POLICIES]
                 for name, vals in per_bench.items()]
         for setname, ws in (("geomean-mem", MEMORY_WORKLOADS),
@@ -52,9 +53,9 @@ def test_fig07a_mttf(benchmark, runner, report):
     assert cmp_mean["RAR"] > 1.1, "RAR: modest gain on compute set"
 
 
-def test_fig07b_abc(benchmark, runner, report):
+def test_fig07b_abc(benchmark, sweep, report):
     def build():
-        per_bench = _collect(runner, lambda r, b: r.abc_rel(b))
+        per_bench = _collect(sweep, lambda r, b: r.abc_rel(b))
         rows = [[name] + [vals[p] for p in POLICIES]
                 for name, vals in per_bench.items()]
         for setname, ws in (("amean-mem", MEMORY_WORKLOADS),

@@ -16,14 +16,15 @@ from repro.workloads.catalog import COMPUTE_WORKLOADS, MEMORY_WORKLOADS
 POLICIES = ("FLUSH", "PRE", "RAR-LATE", "RAR")
 
 
-def test_fig08a_ipc(benchmark, runner, report):
+def test_fig08a_ipc(benchmark, sweep, report):
     def build():
+        workloads = MEMORY_WORKLOADS + COMPUTE_WORKLOADS
+        matrix = sweep(workloads, BASELINE, ("OOO",) + POLICIES)
         per_bench = {}
-        for w in MEMORY_WORKLOADS + COMPUTE_WORKLOADS:
-            base = runner.run(w, BASELINE, "OOO")
+        for w in workloads:
+            base = matrix["OOO"][w.name]
             per_bench[w.name] = {
-                pol: runner.run(w, BASELINE, pol).ipc_rel(base)
-                for pol in POLICIES
+                pol: matrix[pol][w.name].ipc_rel(base) for pol in POLICIES
             }
         rows = [[name] + [v[p] for p in POLICIES]
                 for name, v in per_bench.items()]
@@ -51,15 +52,12 @@ def test_fig08a_ipc(benchmark, runner, report):
     assert 0.9 < cmp_["RAR"] < 1.2
 
 
-def test_fig08b_mlp(benchmark, runner, report):
+def test_fig08b_mlp(benchmark, sweep, report):
     def build():
-        per_bench = {}
-        for w in MEMORY_WORKLOADS:
-            base = runner.run(w, BASELINE, "OOO")
-            per_bench[w.name] = {"OOO": base.mlp}
-            for pol in POLICIES:
-                per_bench[w.name][pol] = runner.run(w, BASELINE, pol).mlp
         cols = ("OOO",) + POLICIES
+        matrix = sweep(MEMORY_WORKLOADS, BASELINE, cols)
+        per_bench = {w.name: {p: matrix[p][w.name].mlp for p in cols}
+                     for w in MEMORY_WORKLOADS}
         rows = [[name] + [v[p] for p in cols]
                 for name, v in per_bench.items()]
         rows.append(["amean"] + [

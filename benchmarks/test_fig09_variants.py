@@ -20,15 +20,16 @@ VARIANTS = ("FLUSH", "TR", "TR-EARLY", "PRE", "PRE-EARLY", "RAR-LATE", "RAR")
 _AXES = {p.name: p for p in ALL_POLICIES}
 
 
-def test_fig09_variants(benchmark, runner, report):
+def test_fig09_variants(benchmark, sweep, report):
     def build():
+        matrix = sweep(MEMORY_WORKLOADS, BASELINE, ("OOO",) + VARIANTS)
         agg = {}
         triggers = {}
         for pol in VARIANTS:
             mttfs, abcs, ipcs, trig = [], [], [], 0
             for w in MEMORY_WORKLOADS:
-                base = runner.run(w, BASELINE, "OOO")
-                r = runner.run(w, BASELINE, pol)
+                base = matrix["OOO"][w.name]
+                r = matrix[pol][w.name]
                 mttfs.append(r.mttf_rel(base))
                 abcs.append(r.abc_rel(base))
                 ipcs.append(r.ipc_rel(base))

@@ -14,14 +14,15 @@ from repro.common.params import SCALED_MACHINES
 from repro.workloads.catalog import MEMORY_WORKLOADS
 
 
-def test_fig10_scaling(benchmark, runner, report):
+def test_fig10_scaling(benchmark, sweep, report):
     def build():
         abc = {"OOO": [], "RAR": []}
         for machine in SCALED_MACHINES:
+            matrix = sweep(MEMORY_WORKLOADS, machine, ("OOO", "RAR"))
             for pol in ("OOO", "RAR"):
                 vals = [
-                    runner.run(w, machine, pol).abc_total
-                    / (runner.run(w, machine, pol).instructions / 1000.0)
+                    matrix[pol][w.name].abc_total
+                    / (matrix[pol][w.name].instructions / 1000.0)
                     for w in MEMORY_WORKLOADS
                 ]
                 abc[pol].append(amean(vals))

@@ -40,15 +40,17 @@ for _proto in PROTOCOLS:
         CONFIGS.append((f"{_pol}+L3/{_proto}", _proto, _pf, _pol))
 
 
-def test_fig11_memsys(benchmark, runner, report):
+def test_fig11_memsys(benchmark, sweep, report):
     def build():
+        matrices = {m.name: sweep(MEMORY_WORKLOADS, m, ("OOO", "RAR"))
+                    for proto in PROTOCOLS for m in _machines(proto)}
         agg = {}
         for label, proto, machine, pol in CONFIGS:
             base_machine = _machines(proto)[0]
             mttfs, abcs, ipcs, raw = [], [], [], []
             for w in MEMORY_WORKLOADS:
-                base = runner.run(w, base_machine, "OOO")
-                r = runner.run(w, machine, pol)
+                base = matrices[base_machine.name]["OOO"][w.name]
+                r = matrices[machine.name][pol][w.name]
                 mttfs.append(r.mttf_rel(base))
                 abcs.append(r.abc_rel(base))
                 ipcs.append(r.ipc_rel(base))

@@ -26,15 +26,17 @@ CONFIGS = (
 )
 
 
-def test_fig11_prefetch(benchmark, runner, report):
+def test_fig11_prefetch(benchmark, sweep, report):
     def build():
+        matrices = {m.name: sweep(MEMORY_WORKLOADS, m, ("OOO", "PRE", "RAR"))
+                    for m in (BASELINE, PF_L3, PF_ALL)}
         agg = {}
         for label, machine in CONFIGS:
             pol = label.split("+")[0]
             mttfs, abcs, ipcs = [], [], []
             for w in MEMORY_WORKLOADS:
-                base = runner.run(w, BASELINE, "OOO")
-                r = runner.run(w, machine, pol)
+                base = matrices[BASELINE.name]["OOO"][w.name]
+                r = matrices[machine.name][pol][w.name]
                 mttfs.append(r.mttf_rel(base))
                 abcs.append(r.abc_rel(base))
                 ipcs.append(r.ipc_rel(base))

@@ -14,16 +14,14 @@ from repro.common.params import SCALED_MACHINES
 from repro.workloads.catalog import MEMORY_WORKLOADS
 
 
-def test_flush_penalty_scaling(benchmark, runner, report):
+def test_flush_penalty_scaling(benchmark, sweep, report):
     def build():
         penalties = {}
         rows = []
         for machine in SCALED_MACHINES:
-            ratios = []
-            for w in MEMORY_WORKLOADS:
-                base = runner.run(w, machine, "OOO")
-                fl = runner.run(w, machine, "FLUSH")
-                ratios.append(fl.ipc_rel(base))
+            matrix = sweep(MEMORY_WORKLOADS, machine, ("OOO", "FLUSH"))
+            ratios = [matrix["FLUSH"][w.name].ipc_rel(matrix["OOO"][w.name])
+                      for w in MEMORY_WORKLOADS]
             penalties[machine.core.rob_size] = hmean(ratios)
             rows.append([machine.name, machine.core.rob_size,
                          hmean(ratios), (1 - hmean(ratios)) * 100])

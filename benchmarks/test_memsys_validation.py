@@ -42,14 +42,14 @@ def test_memval_analytic_curves(benchmark, report):
            "\n\n".join(f"[{s}]\n{t}" for s, t in tables.items()))
 
 
-def test_microbench_full_hierarchy(benchmark, runner, report):
+def test_microbench_full_hierarchy(benchmark, sweep, report):
     """pchase / streambw IPC across protocols, through core + caches."""
     def build():
         rows, ipc = [], {}
         for proto in PRESET_NAMES:
             m = MACHINES[proto]
-            chase = runner.run("pchase", m, "OOO")
-            stream = runner.run("streambw", m, "OOO")
+            ooo = sweep(("pchase", "streambw"), m, ("OOO",))["OOO"]
+            chase, stream = ooo["pchase"], ooo["streambw"]
             ipc[proto] = (chase.ipc, stream.ipc)
             rows.append([proto, f"{chase.ipc:.3f}", f"{stream.ipc:.3f}",
                          f"{m.dram.row_hit_latency}", f"{m.dram.channels}"])

@@ -17,13 +17,13 @@ from repro.common.params import BASELINE
 from repro.workloads.catalog import COMPUTE_WORKLOADS, MEMORY_WORKLOADS
 
 
-def test_workload_characteristics(benchmark, runner, report):
+def test_workload_characteristics(benchmark, sweep, report):
     def build():
+        ooo = sweep(MEMORY_WORKLOADS + COMPUTE_WORKLOADS, BASELINE,
+                    ("OOO",))["OOO"]
         rows = []
-        mpki = {}
         for w in MEMORY_WORKLOADS + COMPUTE_WORKLOADS:
-            r = runner.run(w, BASELINE, "OOO")
-            mpki[w.name] = r.mpki
+            r = ooo[w.name]
             rows.append([
                 w.name, "mem" if w.memory_intensive else "cmp",
                 r.ipc, r.mpki, r.mlp,
@@ -32,23 +32,17 @@ def test_workload_characteristics(benchmark, runner, report):
         table = format_table(
             ["benchmark", "set", "IPC", "LLC MPKI", "MLP",
              "mispredicts/kinst"], rows)
-        return table, mpki
+        return table, ooo
 
-    table, mpki = once(benchmark, build)
+    table, ooo = once(benchmark, build)
     report("workload_characteristics", table)
 
     for w in MEMORY_WORKLOADS:
-        assert mpki[w.name] > 8.0, \
+        assert ooo[w.name].mpki > 8.0, \
             f"{w.name}: memory-intensive benchmarks need MPKI > 8"
     for w in COMPUTE_WORKLOADS:
-        assert mpki[w.name] < 8.0, \
+        assert ooo[w.name].mpki < 8.0, \
             f"{w.name}: compute-intensive benchmarks need MPKI < 8"
     # The per-benchmark character must be diverse, not one template:
     # pointer chasers show low MLP, streamers high MLP.
-    low_mlp = runner.run(
-        next(w for w in MEMORY_WORKLOADS if w.name == "mcf"),
-        BASELINE, "OOO").mlp
-    high_mlp = runner.run(
-        next(w for w in MEMORY_WORKLOADS if w.name == "fotonik"),
-        BASELINE, "OOO").mlp
-    assert high_mlp > 2 * low_mlp
+    assert ooo["fotonik"].mlp > 2 * ooo["mcf"].mlp

@@ -7,12 +7,7 @@ from repro.analysis.energy import (
     energy_delay_product,
     energy_per_instruction,
 )
-from repro.analysis.experiments import (
-    ExperimentRunner,
-    MultiSeedResult,
-    RunKey,
-    summarize_seeds,
-)
+from repro.analysis.experiments import ExperimentRunner, RunKey
 from repro.analysis.plots import bar_chart, scatter, stacked_bars
 from repro.analysis.stats import amean, gmean, hmean
 from repro.analysis.tables import format_series, format_table
@@ -20,8 +15,6 @@ from repro.analysis.tables import format_series, format_table
 __all__ = [
     "ExperimentRunner",
     "RunKey",
-    "MultiSeedResult",
-    "summarize_seeds",
     "amean",
     "gmean",
     "hmean",

@@ -1,23 +1,23 @@
-"""Memoised experiment runner.
+"""Memoised sweep runner: the one way a point is measured.
 
 Several figures reuse the same (workload, machine, policy) points — e.g.
 Figures 7 and 8 plot reliability and performance of the *same* five runs.
 :class:`ExperimentRunner` caches results in memory and optionally on disk
-(JSON) so each point simulates exactly once per benchmark session.
+(JSON), keyed by the content of the workload and of the machine, so each
+point simulates exactly once per benchmark session.
 
-:meth:`ExperimentRunner.run_matrix` additionally knows how to *sweep*:
-each point is one task, or each workload's points share one warmed
-checkpoint in one task (``share_warmup=True``), and tasks fan out
-across the crash-tolerant farm scheduler
-(:mod:`repro.analysis.farm`, ``jobs=N``) with the disk cache as the
-merge point — flushed incrementally and idempotently as points land,
-so a crash mid-sweep preserves every completed point. Failing points
-are isolated and reported on the returned :class:`MatrixResult`
-instead of tearing the sweep down.
+:meth:`ExperimentRunner.run_matrix` measures by *sweeping*: each point
+is one task, or each workload's points share one warmed checkpoint in
+one task (``share_warmup=True``), and tasks fan out across the
+crash-tolerant farm scheduler (:mod:`repro.analysis.farm`, ``jobs=N``)
+with the disk cache as the merge point — flushed incrementally and
+idempotently as points land, so a crash mid-sweep preserves every
+completed point. Failing points are isolated and reported on the
+returned :class:`MatrixResult` instead of tearing the sweep down.
 """
 
+import hashlib
 import json
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -29,50 +29,48 @@ from repro.common.params import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP, \
     MachineParams
 from repro.core.runahead import RunaheadPolicy, get_policy
 from repro.obs import log as obs_log
-from repro.sim import SimResult, measure, simulate, warm_core
+from repro.sim import SimResult, measure, warm_core
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.catalog import get_workload
 
 _log = obs_log.get_logger("sweep")
 
 
-@dataclass(frozen=True)
-class MultiSeedResult:
-    """Mean ± sample-stddev of a metric across trace seeds.
+def workload_digest(spec: Any) -> str:
+    """Content digest of a workload: the workload half of a point's key.
 
-    Synthetic workloads are stochastic realisations of a benchmark's
-    character; re-running under different trace seeds quantifies how much
-    of a result is the mechanism and how much is realisation noise.
+    A :class:`WorkloadSpec` is digested from its dataclass ``repr``,
+    which covers every field, the seed and the phase schedule included.
+    A trace-backed workload is its path plus the sha256 of the file, so
+    a rewritten trace is a new point; an in-memory trace is its uops.
+    No ``id()``-bearing default ``repr`` and no ``hash()`` is involved,
+    so the digest is the same in every process and under every
+    ``PYTHONHASHSEED``.
     """
-
-    metric: str
-    values: tuple
-    mean: float
-    stddev: float
-
-    @property
-    def rel_stddev(self) -> float:
-        return self.stddev / self.mean if self.mean else 0.0
-
-
-def summarize_seeds(metric: str, values: Iterable[float]) -> MultiSeedResult:
-    vals = tuple(values)
-    if not vals:
-        raise ValueError("no values to summarise")
-    mean = sum(vals) / len(vals)
-    var = (sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
-           if len(vals) > 1 else 0.0)
-    return MultiSeedResult(metric=metric, values=vals, mean=mean,
-                           stddev=math.sqrt(var))
+    from repro.workloads.tracewl import MaterializedTraceWorkload, \
+        TraceWorkload
+    if isinstance(spec, WorkloadSpec):
+        text = repr(spec)
+    elif isinstance(spec, TraceWorkload):
+        text = f"{spec.path}|{spec.file_sha256()}"
+    elif isinstance(spec, MaterializedTraceWorkload):
+        text = repr([(u.idx, u.pc, u.cls, u.srcs, u.addr, u.taken, u.target)
+                     for u in spec.uops])
+    else:
+        raise TypeError(f"no content digest for workload {spec.name!r} "
+                        f"of type {type(spec).__name__}")
+    return hashlib.md5(text.encode()).hexdigest()[:10]
 
 
 @dataclass(frozen=True)
 class RunKey:
     """Cache key identifying one simulation point.
 
-    ``config_digest`` covers the *full* machine configuration, so two
-    machines that share a display name but differ in any parameter never
-    collide in the cache. ``variant`` tags results produced by an
+    ``config_digest`` covers the *full* machine configuration and
+    ``workload_digest`` (:func:`workload_digest`) the full workload, so
+    two machines or two workloads that share a display name but differ
+    in any parameter, seed or trace byte never collide in the cache.
+    ``variant`` tags results produced by an
     approximate run mode — shared-warmup points carry ``"sw:<policy>"``
     (the policy warmup ran under) and fast-warmup points carry
     ``"wm:fast"`` (composed as ``"wm:fast+sw:<policy>"`` when both
@@ -87,21 +85,24 @@ class RunKey:
     warmup: int
     config_digest: str = ""
     variant: str = ""
+    workload_digest: str = ""
 
     @staticmethod
     def digest(machine: MachineParams) -> str:
-        import hashlib
         return hashlib.md5(repr(machine).encode()).hexdigest()[:10]
 
     def as_str(self) -> str:
-        base = (f"{self.workload}|{self.machine}|{self.policy}"
+        workload = (f"{self.workload}@{self.workload_digest}"
+                    if self.workload_digest else self.workload)
+        base = (f"{workload}|{self.machine}|{self.policy}"
                 f"|{self.instructions}|{self.warmup}|{self.config_digest}")
         return f"{base}|{self.variant}" if self.variant else base
 
 
-#: Bump when SimResult's schema changes: stale on-disk payloads would
-#: otherwise deserialise with silently-defaulted new fields.
-_CACHE_SCHEMA = 2
+#: Bump when SimResult's schema or the key format changes: stale on-disk
+#: payloads would otherwise deserialise with silently-defaulted new
+#: fields, or be served under keys that no longer identify a point.
+_CACHE_SCHEMA = 3
 
 
 def _variant(share_warmup: bool, policy: str, warmup_policy: str,
@@ -141,6 +142,13 @@ def _point_error(spec, machine, name: str, variant: str,
                  exc: BaseException, tb: str) -> Dict[str, Any]:
     return {"workload": spec.name, "machine": machine.name, "policy": name,
             "variant": variant, "error": repr(exc), "traceback": tb}
+
+
+def _describe(spec: Any) -> str:
+    seed = getattr(spec, "seed", None)
+    return (f"{type(spec).__name__}({spec.name!r}"
+            + ("" if seed is None else f", seed={seed}")
+            + f", digest {workload_digest(spec)})")
 
 
 class SweepTask(NamedTuple):
@@ -345,48 +353,8 @@ class ExperimentRunner:
         self.warmup = warmup
         self.cache_path = cache_path
         self._cache: Dict[str, SimResult] = {}
-        self._machines: Dict[str, MachineParams] = {}
         if cache_path and os.path.exists(cache_path):
             self._load_disk_cache()
-
-    # ------------------------------------------------------------------ api
-
-    def run(
-        self,
-        workload: Union[str, WorkloadSpec],
-        machine: MachineParams,
-        policy: Union[str, RunaheadPolicy],
-    ) -> SimResult:
-        spec = get_workload(workload) if isinstance(workload, str) else workload
-        pol = get_policy(policy) if isinstance(policy, str) else policy
-        key = self._point_key(spec.name, machine, pol.name)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        result = simulate(spec, machine, pol,
-                          instructions=self.instructions, warmup=self.warmup)
-        self._cache[key] = result
-        self._machines[machine.name] = machine
-        if self.cache_path:
-            self._save_disk_cache()
-        return result
-
-    def run_seeds(
-        self,
-        workload: Union[str, WorkloadSpec],
-        machine: MachineParams,
-        policy: Union[str, RunaheadPolicy],
-        seeds: Iterable[int],
-    ) -> List[SimResult]:
-        """Uncached multi-seed runs (each seed is a fresh trace
-        realisation of the same benchmark character)."""
-        spec = get_workload(workload) if isinstance(workload, str) else workload
-        pol = get_policy(policy) if isinstance(policy, str) else policy
-        return [
-            simulate(spec, machine, pol, instructions=self.instructions,
-                     warmup=self.warmup, seed=seed)
-            for seed in seeds
-        ]
 
     def run_matrix(
         self,
@@ -405,7 +373,11 @@ class ExperimentRunner:
     ) -> "MatrixResult":
         """Sweep the full matrix; returns policy name -> workload -> result.
 
-        Each point is one task. With ``share_warmup`` a workload's
+        The result is keyed by workload *name*, so two workloads of one
+        call must not share a name (``ValueError``); the cache keys each
+        point by the workload's content (:func:`workload_digest`), so
+        same-named workloads of different calls never alias. Each point
+        is one task. With ``share_warmup`` a workload's
         points are instead one task that warms **once** under
         ``warmup_policy`` and forks the checkpoint for every measured
         policy — an explicit approximation (warmup
@@ -455,6 +427,15 @@ class ExperimentRunner:
         validate_warmup_mode(warmup_mode)
         specs = [get_workload(w) if isinstance(w, str) else w
                  for w in workloads]
+        wdigests: Dict[str, str] = {}
+        for spec in specs:
+            if spec.name in wdigests:
+                first = next(s for s in specs if s.name == spec.name)
+                raise ValueError(
+                    f"two workloads share the label {spec.name!r}: "
+                    f"{_describe(first)} and {_describe(spec)}; results "
+                    f"are keyed by name, so give each a distinct name")
+            wdigests[spec.name] = workload_digest(spec)
         pols = [get_policy(p) if isinstance(p, str) else p for p in policies]
         wp = (get_policy(warmup_policy) if isinstance(warmup_policy, str)
               else warmup_policy)
@@ -481,6 +462,12 @@ class ExperimentRunner:
 
         out = MatrixResult()
         digest = RunKey.digest(machine)
+
+        def point_key(workload: str, policy: str, variant: str) -> str:
+            return RunKey(workload, machine.name, policy, self.instructions,
+                          self.warmup, digest, variant,
+                          wdigests[workload]).as_str()
+
         tasks: List[SweepTask] = []
         n_cached = 0
         for spec in specs:
@@ -488,8 +475,7 @@ class ExperimentRunner:
             for pol in pols:
                 variant = _variant(share_warmup, pol.name, wp.name,
                                    warmup_mode)
-                key = self._point_key(spec.name, machine, pol.name,
-                                      variant=variant, digest=digest)
+                key = point_key(spec.name, pol.name, variant)
                 cached = self._cache.get(key)
                 if cached is not None:
                     out.setdefault(pol.name, {})[spec.name] = cached
@@ -527,7 +513,6 @@ class ExperimentRunner:
                                   points_run=0, points_cached=n_cached)
             return out
 
-        self._machines[machine.name] = machine
         seen_keys: set = set()
         n_run = 0
 
@@ -536,10 +521,8 @@ class ExperimentRunner:
             nonlocal n_run
             if "payload" in outcome:
                 result = SimResult.from_dict(outcome["payload"])
-                key = self._point_key(result.workload, machine,
-                                      result.policy,
-                                      variant=outcome.get("variant", ""),
-                                      digest=digest)
+                key = point_key(result.workload, result.policy,
+                                outcome.get("variant", ""))
                 if key not in seen_keys:
                     seen_keys.add(key)
                     n_run += 1
@@ -591,12 +574,6 @@ class ExperimentRunner:
         return out
 
     # ------------------------------------------------------------- internal
-
-    def _point_key(self, workload: str, machine: MachineParams, policy: str,
-                   variant: str = "", digest: Optional[str] = None) -> str:
-        return RunKey(workload, machine.name, policy, self.instructions,
-                      self.warmup, digest or RunKey.digest(machine),
-                      variant).as_str()
 
     def _write_cached_stats(self, stats_dir: str, result: SimResult,
                             machine: MachineParams, variant: str,
@@ -701,41 +678,3 @@ class ExperimentRunner:
         except OSError:
             pass  # cache is an optimisation, never a failure
 
-
-#: Shared module-level runner so all benchmark files reuse one cache.
-_SHARED: Optional[ExperimentRunner] = None
-
-
-def shared_runner(instructions: Optional[int] = None,
-                  warmup: Optional[int] = None,
-                  cache_path: Optional[str] = None) -> ExperimentRunner:
-    """Process-wide runner; the first caller fixes the run sizes.
-
-    Later callers may omit the sizes (``None`` adopts whatever the
-    shared runner already uses), but an explicit size that disagrees
-    with the shared runner's raises ``ValueError`` — historically the
-    mismatch was silently ignored, so a benchmark asking for 50k
-    instructions could quietly measure 30k-instruction points. Callers
-    that genuinely need different sizes construct their own
-    :class:`ExperimentRunner`.
-    """
-    global _SHARED
-    if _SHARED is None:
-        _SHARED = ExperimentRunner(
-            instructions=(DEFAULT_INSTRUCTIONS if instructions is None
-                          else instructions),
-            warmup=DEFAULT_WARMUP if warmup is None else warmup,
-            cache_path=cache_path)
-        return _SHARED
-    mismatches = []
-    if instructions is not None and instructions != _SHARED.instructions:
-        mismatches.append(f"instructions={instructions} != "
-                          f"{_SHARED.instructions}")
-    if warmup is not None and warmup != _SHARED.warmup:
-        mismatches.append(f"warmup={warmup} != {_SHARED.warmup}")
-    if mismatches:
-        raise ValueError(
-            "shared_runner run sizes are fixed by the first caller; "
-            + ", ".join(mismatches)
-            + " — use a private ExperimentRunner for different sizes")
-    return _SHARED

@@ -229,10 +229,13 @@ class CheckpointCache:
     cached checkpoint seeds any number of measurements bit-identically
     to a freshly warmed one (the checkpoint contract).
 
-    The key pins everything the warmed state depends on: workload name,
-    the *full* machine configuration (via the params digest, so two
-    machines sharing a display name never collide), the policy warmup
-    ran under, the warmup length and the trace seed. ``validate`` rides
+    The key pins everything the warmed state depends on: the workload's
+    name and content (:func:`~repro.analysis.experiments.workload_digest`,
+    so a same-named workload with another seed, phase schedule or trace
+    file never gets this one's state), the *full* machine configuration
+    (via the params digest, so two machines sharing a display name never
+    collide), the policy warmup ran under, the warmup length and the
+    trace seed. ``validate`` rides
     along too — a sanitized warmup is bit-identical, but keeping the
     slots separate means a cache hit never silently changes whether the
     warmup itself was checked.
@@ -250,12 +253,12 @@ class CheckpointCache:
         return len(self._entries)
 
     @staticmethod
-    def _key(workload_name: str, machine: MachineParams, policy_name: str,
+    def _key(spec, machine: MachineParams, policy_name: str,
              warmup: int, seed: Optional[int], validate: bool,
              warmup_mode: str = DEFAULT_WARMUP_MODE) -> Tuple:
-        from repro.analysis.experiments import RunKey
-        return (workload_name, RunKey.digest(machine), policy_name,
-                warmup, seed, validate, warmup_mode)
+        from repro.analysis.experiments import RunKey, workload_digest
+        return (spec.name, workload_digest(spec), RunKey.digest(machine),
+                policy_name, warmup, seed, validate, warmup_mode)
 
     def get_or_warm(
         self,
@@ -279,7 +282,7 @@ class CheckpointCache:
         spec = get_workload(workload) if isinstance(workload, str) \
             else workload
         pol = get_policy(policy) if isinstance(policy, str) else policy
-        key = self._key(spec.name, machine, pol.name, warmup, seed,
+        key = self._key(spec, machine, pol.name, warmup, seed,
                         validate, warmup_mode)
         cached = self._entries.get(key)
         if cached is not None:

@@ -108,19 +108,19 @@ class MaterializedTraceWorkload:
 
     def __init__(self, uops: List[StaticUop], name: str,
                  description: str = ""):
-        self._uops = list(uops)
+        self.uops = list(uops)
         self.name = name
         self.description = description or f"materialized trace {name!r}"
 
     def build_trace(self, seed: Optional[int] = None) -> Trace:
-        return Trace.from_list(self._uops, name=self.name)
+        return Trace.from_list(self.uops, name=self.name)
 
     def resident_regions(self) -> List[Tuple[str, int, int]]:
         return []
 
     def __repr__(self) -> str:
         return (f"MaterializedTraceWorkload({self.name!r}, "
-                f"{len(self._uops)} uops)")
+                f"{len(self.uops)} uops)")
 
 
 def resolve_trace_workload(name: str) -> TraceWorkload:

@@ -3,10 +3,23 @@
 import json
 import logging
 import os
+import subprocess
+import sys
+from dataclasses import replace
 
-from repro.analysis.experiments import ExperimentRunner, RunKey
+import pytest
+
+from repro.analysis.experiments import ExperimentRunner, RunKey, \
+    workload_digest
 from repro.common.params import BASELINE
 from repro.core.runahead import OOO
+from repro.workloads.catalog import get_workload
+
+
+def _x264(runner, policy=OOO):
+    """The one x264 point on BASELINE, measured through ``run_matrix``."""
+    (by_workload,) = runner.run_matrix(["x264"], BASELINE, [policy]).values()
+    return by_workload["x264"]
 
 
 class TestRunKey:
@@ -42,13 +55,13 @@ class TestRunKey:
 class TestRunnerCache:
     def test_memoisation(self):
         r = ExperimentRunner(instructions=600, warmup=200)
-        first = r.run("x264", BASELINE, OOO)
-        second = r.run("x264", BASELINE, OOO)
+        first = _x264(r)
+        second = _x264(r)
         assert first is second  # cached object, not a re-run
 
     def test_policy_by_name(self):
         r = ExperimentRunner(instructions=600, warmup=200)
-        res = r.run("x264", BASELINE, "ooo")
+        res = _x264(r, "ooo")
         assert res.policy == "OOO"
 
     def test_run_matrix_shape(self):
@@ -60,11 +73,11 @@ class TestRunnerCache:
     def test_disk_cache_roundtrip(self, tmp_path):
         path = os.path.join(str(tmp_path), "cache.json")
         r1 = ExperimentRunner(instructions=600, warmup=200, cache_path=path)
-        first = r1.run("x264", BASELINE, OOO)
+        first = _x264(r1)
         assert os.path.exists(path)
 
         r2 = ExperimentRunner(instructions=600, warmup=200, cache_path=path)
-        second = r2.run("x264", BASELINE, OOO)
+        second = _x264(r2)
         assert second.ipc == first.ipc
         assert second.abc_total == first.abc_total
 
@@ -73,7 +86,7 @@ class TestRunnerCache:
         with open(path, "w") as f:
             f.write("{not json")
         r = ExperimentRunner(instructions=600, warmup=200, cache_path=path)
-        assert r.run("x264", BASELINE, OOO).instructions > 0
+        assert _x264(r).instructions > 0
 
     def test_bad_disk_cache_set_aside_not_overwritten(self, tmp_path, caplog):
         """An unreadable or foreign-schema cache is renamed to the first
@@ -89,7 +102,7 @@ class TestRunnerCache:
         with caplog.at_level(logging.WARNING, logger="repro"):
             r = ExperimentRunner(instructions=600, warmup=200,
                                  cache_path=path)
-            r.run("x264", BASELINE, OOO)
+            _x264(r)
         with open(path + ".bad-0", "rb") as f:
             assert f.read() == b"an earlier casualty"
         with open(path + ".bad-1", "rb") as f:
@@ -102,7 +115,7 @@ class TestRunnerCache:
         with open(path, "wb") as f:
             f.write(foreign)
         r = ExperimentRunner(instructions=600, warmup=200, cache_path=path)
-        r.run("x264", BASELINE, OOO)
+        _x264(r)
         with open(path + ".bad-2", "rb") as f:
             assert f.read() == foreign
 
@@ -179,7 +192,7 @@ class TestParallelMatrix:
         r1 = ExperimentRunner(instructions=800, warmup=300, cache_path=path)
         a = r1.run_matrix(self.WLS, BASELINE, self.POLS, jobs=2)
         raw = json.load(open(path))
-        assert raw["schema"] == 2
+        assert raw["schema"] == 3
         assert len(raw["data"]) == len(self.WLS) * len(self.POLS)
         r2 = ExperimentRunner(instructions=800, warmup=300, cache_path=path)
         b = r2.run_matrix(self.WLS, BASELINE, self.POLS)
@@ -262,7 +275,6 @@ class TestCachedStatsDir:
     def test_cached_point_renders_stats_without_resimulating(
             self, tmp_path, monkeypatch):
         import json
-        from repro import sim as sim_mod
         r = ExperimentRunner(instructions=800, warmup=300)
         r.run_matrix(["mcf"], BASELINE, ["OOO"])
         stats = os.path.join(str(tmp_path), "stats")
@@ -272,9 +284,9 @@ class TestCachedStatsDir:
 
         # historically `stats_dir` forced cached points back through the
         # simulator; the artifact must now come from the cached result
-        monkeypatch.setattr(sim_mod, "simulate", boom)
         import repro.analysis.experiments as exp
-        monkeypatch.setattr(exp, "simulate", boom)
+        monkeypatch.setattr(exp, "warm_core", boom)
+        monkeypatch.setattr(exp, "measure", boom)
         out = r.run_matrix(["mcf"], BASELINE, ["OOO"], stats_dir=stats)
         artifact = os.path.join(stats, "mcf_baseline_OOO.json")
         payload = json.load(open(artifact))
@@ -319,3 +331,102 @@ class TestIdempotentDiskCache:
         r._save_disk_cache()
         r._save_disk_cache()
         assert json.load(open(path)) == first
+
+
+class TestContentKeys:
+    """A point is keyed by its workload's content, not its name."""
+
+    N = 2000
+
+    @staticmethod
+    def _mcf_pair():
+        mcf = get_workload("mcf")
+        return mcf, replace(mcf, seed=mcf.seed + 3)
+
+    def test_digest_covers_seed_and_phases(self):
+        mcf, mcf3 = self._mcf_pair()
+        assert workload_digest(mcf) == workload_digest(replace(mcf))
+        assert workload_digest(mcf) != workload_digest(mcf3)
+        phased = get_workload("ph-drift-hot")
+        (phase,) = phased.phases
+        slower = replace(phased, phases=(replace(phase, drift=1024),))
+        assert workload_digest(phased) != workload_digest(slower)
+
+    def test_digest_rejects_unknown_workload_types(self):
+        class Opaque:
+            name = "opaque"
+
+        with pytest.raises(TypeError, match="opaque"):
+            workload_digest(Opaque())
+
+    def test_digest_independent_of_hash_seed(self, tmp_path):
+        from repro.isa.tracefile import save_trace
+        path = str(tmp_path / "x264.trace.gz")
+        save_trace(get_workload("x264").build_trace(), path, limit=500)
+        code = ("from repro.analysis.experiments import workload_digest\n"
+                "from repro.workloads.catalog import get_workload\n"
+                "for n in ('mcf', 'ph-drift-hot', 'trace:' + %r):\n"
+                "    print(workload_digest(get_workload(n)))\n" % path)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        outs = []
+        for hash_seed in ("0", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.path.abspath(src))
+            outs.append(subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert outs[0] == outs[1]
+        assert len(set(outs[0].split())) == 3
+
+    def test_same_name_other_seed_is_another_point(self):
+        from repro.sim import simulate
+        mcf, mcf3 = self._mcf_pair()
+        r = ExperimentRunner(instructions=self.N, warmup=self.N)
+        first = r.run_matrix([mcf], BASELINE, ["OOO"])["OOO"]["mcf"]
+        second = r.run_matrix([mcf3], BASELINE, ["OOO"])["OOO"]["mcf"]
+        cold = simulate(mcf3, BASELINE, "OOO", instructions=self.N,
+                        warmup=self.N)
+        assert second == cold
+        assert second.ipc != first.ipc
+
+    def test_shared_warmup_checkpoint_keyed_by_content(self):
+        """Two fresh runners in one process share the process checkpoint
+        cache; the reseeded workload must warm its own checkpoint."""
+        from repro.checkpoint import process_checkpoint_cache
+        from repro.sim import simulate
+        mcf, mcf3 = self._mcf_pair()
+        process_checkpoint_cache().clear()
+        a = ExperimentRunner(instructions=self.N, warmup=self.N).run_matrix(
+            [mcf], BASELINE, ["OOO", "RAR"], share_warmup=True)
+        b = ExperimentRunner(instructions=self.N, warmup=self.N).run_matrix(
+            [mcf3], BASELINE, ["OOO", "RAR"], share_warmup=True)
+        # OOO is the warmup policy, so the shared point equals a cold run
+        assert b["OOO"]["mcf"] == simulate(mcf3, BASELINE, "OOO",
+                                           instructions=self.N,
+                                           warmup=self.N)
+        assert b["RAR"]["mcf"] != a["RAR"]["mcf"]
+
+    def test_rewritten_trace_is_another_point(self, tmp_path):
+        from repro.isa.tracefile import save_trace
+        from repro.sim import simulate
+        trace = str(tmp_path / "t.trace.gz")
+        name = f"trace:{trace}"
+        cache = str(tmp_path / "cache.json")
+        save_trace(get_workload("x264").build_trace(), trace, limit=1500)
+        first = ExperimentRunner(600, 200, cache_path=cache).run_matrix(
+            [name], BASELINE, ["OOO"])["OOO"][name]
+        save_trace(get_workload("mcf").build_trace(), trace, limit=1500)
+        second = ExperimentRunner(600, 200, cache_path=cache).run_matrix(
+            [name], BASELINE, ["OOO"])["OOO"][name]
+        assert second == simulate(name, BASELINE, "OOO", instructions=600,
+                                  warmup=200)
+        assert second != first
+
+    def test_duplicate_labels_rejected(self):
+        mcf, mcf3 = self._mcf_pair()
+        r = ExperimentRunner(instructions=600, warmup=200)
+        with pytest.raises(ValueError, match="share the label 'mcf'") as e:
+            r.run_matrix([mcf, "x264", mcf3], BASELINE, ["OOO"])
+        assert f"seed={mcf.seed}" in str(e.value)
+        assert f"seed={mcf3.seed}" in str(e.value)
+        assert r._cache == {}

@@ -1,61 +1,33 @@
 """Multi-seed statistics: realisation noise vs. mechanism effect."""
 
-import pytest
+import statistics
 
-from repro.analysis.experiments import (
-    ExperimentRunner,
-    MultiSeedResult,
-    summarize_seeds,
-)
 from repro.common.params import BASELINE
-
-
-class TestSummary:
-    def test_mean_and_stddev(self):
-        s = summarize_seeds("ipc", [1.0, 2.0, 3.0])
-        assert s.mean == 2.0
-        assert s.stddev == pytest.approx(1.0)
-        assert s.rel_stddev == pytest.approx(0.5)
-
-    def test_single_value(self):
-        s = summarize_seeds("ipc", [5.0])
-        assert s.mean == 5.0 and s.stddev == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize_seeds("ipc", [])
-
-    def test_frozen(self):
-        s = summarize_seeds("ipc", [1.0])
-        with pytest.raises(AttributeError):
-            s.mean = 2.0
-        assert isinstance(s, MultiSeedResult)
+from repro.sim import simulate
 
 
 class TestRunSeeds:
     def test_seeds_yield_distinct_but_similar_runs(self):
-        runner = ExperimentRunner(instructions=1200, warmup=1500)
-        results = runner.run_seeds("libquantum", BASELINE, "OOO",
-                                   seeds=[1, 2, 3])
-        assert len(results) == 3
+        results = [simulate("libquantum", BASELINE, "OOO", instructions=1200,
+                            warmup=1500, seed=s) for s in (1, 2, 3)]
         ipcs = [r.ipc for r in results]
         # Different realisations -> not bit-identical...
         assert len(set(ipcs)) > 1
         # ...but statistically the same workload: spread is bounded.
-        summary = summarize_seeds("ipc", ipcs)
-        assert summary.rel_stddev < 0.35
+        assert statistics.stdev(ipcs) / statistics.mean(ipcs) < 0.35
 
     def test_mechanism_effect_exceeds_seed_noise(self):
         """RAR's ABC reduction must dwarf realisation noise — the core
         scientific-validity check for a synthetic-workload study."""
-        runner = ExperimentRunner(instructions=1500, warmup=2500)
         seeds = [11, 22, 33]
-        base = runner.run_seeds("libquantum", BASELINE, "OOO", seeds)
-        rar = runner.run_seeds("libquantum", BASELINE, "RAR", seeds)
-        base_abc = summarize_seeds(
-            "abc", [r.abc_total / r.instructions for r in base])
-        rar_abc = summarize_seeds(
-            "abc", [r.abc_total / r.instructions for r in rar])
-        gap = base_abc.mean - rar_abc.mean
-        noise = base_abc.stddev + rar_abc.stddev
+
+        def abc_per_instruction(policy):
+            return [r.abc_total / r.instructions for r in (
+                simulate("libquantum", BASELINE, policy, instructions=1500,
+                         warmup=2500, seed=s) for s in seeds)]
+
+        base_abc = abc_per_instruction("OOO")
+        rar_abc = abc_per_instruction("RAR")
+        gap = statistics.mean(base_abc) - statistics.mean(rar_abc)
+        noise = statistics.stdev(base_abc) + statistics.stdev(rar_abc)
         assert gap > 3 * noise
