@@ -8,8 +8,8 @@ predictor tables, SST, ACE accounting, every pipeline component's
 registers and the in-flight window — into a :class:`Checkpoint`.
 :meth:`Checkpoint.fork` restores that state into a freshly constructed
 core, which :func:`repro.sim.measure` then measures. A checkpoint is
-built only where a warmup is shared: ``run_matrix(share_warmup=True)``
-and ``repro diff``'s fork leg.
+built only where a warmup is shared: ``run_matrix(share_warmup=True)``,
+which ``sweep --share-warmup`` and the golden tier's fork leg run.
 
 Bit-identity contract: forking a checkpoint warmed under policy P and
 measuring under the same policy P is **bit-identical** to measuring

@@ -12,10 +12,9 @@ Subcommands:
                          summarize and audit a sweep run-ledger (JSONL)
     top                  live in-terminal view of a running sweep,
                          tailing its --ledger file
-    diff                 differential check: one point through every
-                         execution path (facade/fork), bit-diffed
     golden               golden conformance fingerprints for the
-                         45-point grid: --check or --regen
+                         45-point grid, each point measured cold and as
+                         a checkpoint fork: --check or --regen
     memval               validate every DRAM protocol preset's measured
                          latency/bandwidth against its analytic spec
     warmval              cross-validate fast (functional) warmup against
@@ -35,10 +34,11 @@ an append-only JSONL event stream with per-point provenance manifests.
 
 ``run`` and ``sweep`` accept ``--validate`` to enable the per-cycle
 invariant sanitizer and ``--oracle`` for the commit-stream architectural
-oracle (see docs/validation.md); ``diff`` exits non-zero on any
-divergence and can dump the full report with ``--out``; ``golden
---check`` exits non-zero on any fingerprint drift; ``report LEDGER``
-exits non-zero when the ledger audit finds a problem.
+oracle (see docs/validation.md); ``golden --check`` exits non-zero on
+any fingerprint drift or fork that diverges from its cold run, and
+``golden --regen`` refuses to freeze while a fork diverges; ``report``
+exits non-zero when the ledger audit finds a problem or the file cannot
+be read.
 
 ``run`` exposes the telemetry subsystem: ``--stats-out`` (hierarchical
 stats + timeline JSON), ``--trace-out`` (Chrome trace-event JSON for
@@ -215,6 +215,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         stats = load_stats(args.path)
     except ValueError as e:
         print(f"report failed: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        print(f"report failed: {args.path}: {e.strerror or e}",
+              file=sys.stderr)
         return 1
     print(render_report(stats))
     return 0
@@ -430,33 +434,21 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_diff(args: argparse.Namespace) -> int:
-    from repro.validate.diff import differential_check
-
-    report = differential_check(
-        args.workload, MACHINES[args.machine], args.policy,
-        instructions=args.instructions, warmup=args.warmup,
-        seed=args.seed, bisect_interval=args.bisect_interval,
-        validate=args.validate)
-    print(report.summary())
-    if args.out:
-        from repro.common.io import atomic_write_json
-        atomic_write_json(args.out, report.to_dict(), indent=2)
-        print(f"report JSON -> {args.out}")
-    return 0 if report.identical else 1
-
-
 def cmd_golden(args: argparse.Namespace) -> int:
     from repro.validate.golden import check_golden, check_scenarios, \
         golden_points, regen_golden, regen_scenarios, scenario_points
 
     total = len(golden_points()) + len(scenario_points())
     if args.regen:
-        written = regen_golden(args.dir, jobs=args.jobs,
-                               instructions=args.instructions,
-                               warmup=args.warmup, ledger=args.ledger)
-        written.append(regen_scenarios(args.dir, jobs=args.jobs,
-                                       ledger=args.ledger))
+        try:
+            written = regen_golden(args.dir, jobs=args.jobs,
+                                   instructions=args.instructions,
+                                   warmup=args.warmup, ledger=args.ledger)
+            written.append(regen_scenarios(args.dir, jobs=args.jobs,
+                                           ledger=args.ledger))
+        except RuntimeError as e:
+            print(f"golden regen failed: {e}", file=sys.stderr)
+            return 1
         print(f"froze {total} golden points:")
         for path in written:
             print(f"  {path}")
@@ -629,24 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_warmup_mode_arg(p)
 
     p = sub.add_parser(
-        "diff", help="differential check across execution paths")
-    p.add_argument("workload")
-    p.add_argument("policy", nargs="?", default="RAR")
-    p.add_argument("-m", "--machine", default="baseline",
-                   choices=sorted(MACHINES))
-    p.add_argument("--seed", type=int, default=None,
-                   help="trace/wrong-path seed (default: workload's)")
-    p.add_argument("--bisect-interval", type=int, default=500, metavar="N",
-                   help="timeline period used to localise a divergence; "
-                        "0 disables bisection (default 500)")
-    p.add_argument("--validate", action="store_true",
-                   help="also sanitize every path with the invariant "
-                        "checker")
-    p.add_argument("--out", metavar="FILE",
-                   help="write the full diff report as JSON")
-    _add_size_args(p)
-
-    p = sub.add_parser(
         "golden", help="golden conformance fingerprints (45-point grid)")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--check", action="store_true",
@@ -769,14 +743,12 @@ def main(argv=None) -> int:
     from repro.obs import log as obs_log
     obs_log.configure(json_lines=args.log_json, quiet=args.quiet,
                       verbose=args.verbose)
-    get_workload  # imported for side-effect-free validation below
     handlers = {
         "list": cmd_list,
         "run": cmd_run,
         "report": cmd_report,
         "top": cmd_top,
         "sweep": cmd_sweep,
-        "diff": cmd_diff,
         "golden": cmd_golden,
         "memval": cmd_memval,
         "warmval": cmd_warmval,

@@ -71,10 +71,6 @@ class FrontEndStage(Component):
         self.width = core.width
         self.ra = core.runahead_ctl
 
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def train_branch(self, st) -> bool:
         """Train the predictor and the BTB on correct-path branch ``st``
         and return the direction fetch follows.

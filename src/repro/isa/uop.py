@@ -76,10 +76,6 @@ class StaticUop:
         # the instance instead of duplicating the whole unrolled program.
         return self
 
-    @property
-    def uop_class(self) -> UopClass:
-        return UopClass(self.cls)
-
     def __repr__(self) -> str:
         return (
             f"StaticUop(idx={self.idx}, pc={self.pc:#x}, "

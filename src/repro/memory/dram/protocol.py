@@ -74,10 +74,6 @@ class DramProtocol:
         """Device cycles → core cycles at the configured clock ratio."""
         return (mem_cycles * self.core_mhz) // self.mem_mhz
 
-    @property
-    def clock_ratio(self) -> float:
-        return self.core_mhz / self.mem_mhz
-
     def params(self, scheduler: str = "fcfs", mapping: str = "row",
                frfcfs_cap: int = 512,
                refresh: Optional[bool] = None) -> DramParams:

@@ -1,6 +1,8 @@
-"""Simulator sanitizer: per-cycle invariant checking + differential runs.
+"""Simulator sanitizer: per-cycle invariant checking, commit oracle,
+golden fingerprints.
 
-Two validation layers, both opt-in and zero-cost when disabled:
+Three validation layers; the first two are opt-in and zero-cost when
+disabled:
 
 - :class:`~repro.validate.invariants.InvariantChecker` — a pipeline
   :class:`~repro.core.engine.Component` stepped after every simulated
@@ -12,12 +14,6 @@ Two validation layers, both opt-in and zero-cost when disabled:
   and the checkpoint API; any breach raises
   :class:`~repro.validate.invariants.InvariantViolation` at the exact
   cycle it first becomes observable.
-- :func:`~repro.validate.diff.differential_check` — runs the same
-  (workload, machine, policy, seed) point through the independent
-  execution paths (cold facade, checkpoint fork),
-  diffs the full :meth:`SimResult.to_dict` payloads field by field, and
-  on divergence bisects to the first differing stats-timeline interval.
-  Exposed on the command line as ``repro diff``.
 - :class:`~repro.validate.oracle.CommitOracle` — a program-order
   functional reference model walking the trace stream, lockstep-checked
   against every retirement via a commit hook; any retirement-semantics
@@ -26,29 +22,21 @@ Two validation layers, both opt-in and zero-cost when disabled:
   checkpoint API.
 - :mod:`repro.validate.golden` — canonical conformance fingerprints
   (stable hash of the full result payload plus the oracle's commit
-  digest) for the 25-point baseline matrix, frozen under
-  ``tests/golden/`` and checked by ``repro golden``.
+  digest) for the 45-point conformance grid, frozen under
+  ``tests/golden/`` and checked by ``repro golden``. Every point is
+  measured from a cold core and again from a same-policy checkpoint
+  fork, and the two must be bit-identical.
 
 See docs/validation.md for the invariant catalog and a walkthrough.
 """
 
-from repro.validate.diff import (
-    DiffReport,
-    Divergence,
-    FieldDiff,
-    differential_check,
-)
 from repro.validate.invariants import InvariantChecker, InvariantViolation
 from repro.validate.oracle import CommitOracle, OracleViolation, attach_oracle
 
 __all__ = [
     "CommitOracle",
-    "DiffReport",
-    "Divergence",
-    "FieldDiff",
     "InvariantChecker",
     "InvariantViolation",
     "OracleViolation",
     "attach_oracle",
-    "differential_check",
 ]

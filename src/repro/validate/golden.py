@@ -11,7 +11,8 @@ semantics — intended or not — shows up as a fingerprint diff, reviewed
 like any other code change (the SimPoint/gem5 "golden outputs"
 workflow).
 
-Every point is measured by the sweep runner: each row of a grid (one
+Every point is measured by the sweep runner, from both of the cores a
+sweep point can come from. The *cold leg* of each grid row (one
 machine, or one scenario) is one
 ``ExperimentRunner.run_matrix(..., oracle=True)`` sweep over the five
 policies, so golden runs the very point sequence every ``repro sweep``
@@ -20,7 +21,15 @@ oracle checking every retirement, then measured. The commit digest
 covers the measured window. ``--jobs 1`` measures serially and
 ``--jobs N`` on the crash-tolerant farm, one task per point; each point
 runs identical code in whichever process, so the fingerprints cannot
-depend on scheduling.
+depend on scheduling. The cold leg is what the frozen files hold.
+
+The *fork leg* measures every point again the way
+``sweep --share-warmup`` does: a checkpoint warmed under the measured
+policy, forked and measured
+(``run_matrix(share_warmup=True, warmup_policy=P)``). The checkpoint
+layer promises that such a fork is bit-identical to the cold run, so a
+fork that disagrees with its cold leg is reported as a problem of its
+own, and ``--regen`` refuses to freeze anything while one does.
 
 Alongside the 25-point baseline matrix, a 20-point *scenario* grid
 (``tests/golden/scenarios.json``) freezes the trace-ingestion and
@@ -148,28 +157,40 @@ def canonical_fingerprint(payload: Any) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+#: row -> policy -> frozen-file entry.
+Grid = Dict[str, Dict[str, Dict[str, Any]]]
+
+
 def _measure_grid(rows: Dict[str, Tuple[Any, MachineParams, int, int]],
                   jobs: int, ledger: Optional[str],
-                  ) -> Dict[str, Dict[str, Dict[str, Any]]]:
-    """Measure every (row, policy) point; returns row -> policy -> entry.
+                  ) -> Tuple[Grid, List[str]]:
+    """Measure every (row, policy) point cold and as a fork.
 
     ``rows`` maps each row (a machine or a scenario name) to its
-    (workload, machine, instructions, warmup). Each row is one
+    (workload, machine, instructions, warmup). A row's cold leg is one
     ``run_matrix`` sweep of :data:`GOLDEN_POLICIES` with the commit
-    oracle on, on the farm when ``jobs > 1``; with ``ledger`` every row
-    records its sweep in the run ledger, auditable like any sweep.
+    oracle on, on the farm when ``jobs > 1``. Its fork leg is one
+    ``run_matrix(share_warmup=True, warmup_policy=P)`` per policy P, each
+    on a fresh runner: a same-policy shared point has the cold point's
+    cache key, so a shared runner would serve it from the cold leg's
+    slot instead of forking. With ``ledger`` every sweep is recorded in
+    the run ledger, auditable like any sweep.
+
+    Returns the cold leg's row -> policy -> entry, and one line per
+    point whose fork is not bit-identical to its cold run.
     """
     from repro.analysis.experiments import ExperimentRunner
 
-    out: Dict[str, Dict[str, Dict[str, Any]]] = {}
+    out: Grid = {}
+    forks: List[str] = []
     for row, (workload, machine, instructions, warmup) in rows.items():
-        matrix = ExperimentRunner(instructions, warmup).run_matrix(
+        cold = ExperimentRunner(instructions, warmup).run_matrix(
             [workload], machine, GOLDEN_POLICIES, jobs=jobs, oracle=True,
             ledger=ledger).raise_if_failed()
         out[row] = {}
         for policy in GOLDEN_POLICIES:
-            (result,) = matrix[policy].values()
-            digest = matrix.commit_digests[(policy, result.workload)]
+            (result,) = cold[policy].values()
+            digest = cold.commit_digests[(policy, result.workload)]
             out[row][policy] = {
                 "fingerprint": canonical_fingerprint(
                     {"result": result.to_dict(), "commit_digest": digest}),
@@ -180,13 +201,27 @@ def _measure_grid(rows: Dict[str, Tuple[Any, MachineParams, int, int]],
                 "cycles": result.cycles,
                 "abc_total": result.abc_total,
             }
-    return out
+            fork = ExperimentRunner(instructions, warmup).run_matrix(
+                [workload], machine, [policy], share_warmup=True,
+                warmup_policy=policy, oracle=True,
+                ledger=ledger).raise_if_failed()
+            (forked,) = fork[policy].values()
+            fork_digest = fork.commit_digests[(policy, forked.workload)]
+            a, b = result.to_dict(), forked.to_dict()
+            fields = [k for k in a if a[k] != b[k]]
+            if fields or fork_digest != digest:
+                forks.append(
+                    f"{row}/{policy}: fork diverges from the cold run in "
+                    f"{', '.join(fields) or 'no result field'}; commit "
+                    f"digest "
+                    + ("differs" if fork_digest != digest else "unchanged"))
+    return out, forks
 
 
 def _measure_all(jobs: int, instructions: int, warmup: int,
-                 ledger: Optional[str] = None,
-                 ) -> Dict[str, Dict[str, Dict[str, Any]]]:
-    """Measure the baseline grid; returns machine -> policy -> entry."""
+                 ledger: Optional[str] = None) -> Tuple[Grid, List[str]]:
+    """Measure the baseline grid; returns machine -> policy -> entry and
+    the fork lines."""
     return _measure_grid(
         {name: (GOLDEN_WORKLOAD, machine, instructions, warmup)
          for name, machine in GOLDEN_MACHINES.items()}, jobs, ledger)
@@ -196,15 +231,28 @@ def _machine_path(directory: str, machine_name: str) -> str:
     return os.path.join(directory, f"{machine_name}.json")
 
 
+def _agreed(measured: Tuple[Grid, List[str]]) -> Grid:
+    """The cold leg's grid, or ``RuntimeError`` listing the fork lines:
+    nothing is frozen while the two cores disagree."""
+    grid, forks = measured
+    if forks:
+        raise RuntimeError(
+            f"{len(forks)} point(s) fork differently from their cold run; "
+            f"nothing frozen:\n  " + "\n  ".join(forks))
+    return grid
+
+
 def regen_golden(directory: str = GOLDEN_DIR, jobs: int = 1,
                  instructions: int = GOLDEN_INSTRUCTIONS,
                  warmup: int = GOLDEN_WARMUP,
                  ledger: Optional[str] = None) -> List[str]:
-    """(Re)freeze the fingerprints; returns the files written."""
+    """(Re)freeze the fingerprints; returns the files written.
+
+    Raises ``RuntimeError``, writing nothing, when a fork diverges."""
     from repro.common.io import atomic_write_json
 
+    grid = _agreed(_measure_all(jobs, instructions, warmup, ledger=ledger))
     os.makedirs(directory, exist_ok=True)
-    grid = _measure_all(jobs, instructions, warmup, ledger=ledger)
     written: List[str] = []
     for machine_name in GOLDEN_MACHINES:
         payload = {
@@ -223,12 +271,15 @@ def regen_golden(directory: str = GOLDEN_DIR, jobs: int = 1,
 
 def check_golden(directory: str = GOLDEN_DIR,
                  jobs: int = 1, ledger: Optional[str] = None) -> List[str]:
-    """Re-measure the grid and diff against the frozen files.
+    """Re-measure the grid, cold and as forks, and diff the cold leg
+    against the frozen files.
 
-    Returns a list of human-readable mismatch lines — empty means fully
-    conformant. Run sizes are taken from the frozen files themselves so
-    a check is self-consistent; a file frozen at different sizes than
-    the module defaults still checks against what it recorded.
+    Returns a list of human-readable mismatch lines — one per fork that
+    diverges from its cold run, one per drifted fingerprint; empty
+    means fully conformant. Run sizes are taken from the frozen files
+    themselves so a check is self-consistent; a file frozen at
+    different sizes than the module defaults still checks against what
+    it recorded.
     """
     problems: List[str] = []
     frozen: Dict[str, Dict[str, Any]] = {}
@@ -280,11 +331,12 @@ def check_golden(directory: str = GOLDEN_DIR,
         frozen, _measure_all(jobs, instructions, warmup, ledger=ledger))
 
 
-def _drift(frozen: Dict[str, Dict[str, Dict[str, Any]]],
-           grid: Dict[str, Dict[str, Dict[str, Any]]]) -> List[str]:
-    """One line per frozen (row, policy) entry whose fingerprint the
-    re-measured ``grid`` does not reproduce."""
-    problems: List[str] = []
+def _drift(frozen: Grid, measured: Tuple[Grid, List[str]]) -> List[str]:
+    """The fork lines of the re-measured grid, then one line per frozen
+    (row, policy) entry whose fingerprint its cold leg does not
+    reproduce."""
+    grid, forks = measured
+    problems = list(forks)
     for row, points in frozen.items():
         for policy in GOLDEN_POLICIES:
             want = points[policy]
@@ -309,9 +361,10 @@ def _drift(frozen: Dict[str, Dict[str, Dict[str, Any]]],
 def _measure_scenarios(jobs: int,
                        sizes: Dict[str, Tuple[int, int]],
                        ledger: Optional[str] = None,
-                       ) -> Dict[str, Dict[str, Dict[str, Any]]]:
+                       ) -> Tuple[Grid, List[str]]:
     """Measure the scenario grid at ``sizes`` (scenario ->
-    (instructions, warmup)); returns scenario -> policy -> entry."""
+    (instructions, warmup)); returns scenario -> policy -> entry and the
+    fork lines."""
     return _measure_grid(
         {name: (scenario_workload(name), BASELINE, n, w)
          for name, (n, w) in sizes.items()}, jobs, ledger)
@@ -323,11 +376,13 @@ def _scenario_path(directory: str) -> str:
 
 def regen_scenarios(directory: str = GOLDEN_DIR, jobs: int = 1,
                     ledger: Optional[str] = None) -> str:
-    """(Re)freeze the scenario fingerprints; returns the file written."""
+    """(Re)freeze the scenario fingerprints; returns the file written.
+
+    Raises ``RuntimeError``, writing nothing, when a fork diverges."""
     from repro.common.io import atomic_write_json
 
+    grid = _agreed(_measure_scenarios(jobs, GOLDEN_SCENARIOS, ledger=ledger))
     os.makedirs(directory, exist_ok=True)
-    grid = _measure_scenarios(jobs, GOLDEN_SCENARIOS, ledger=ledger)
     payload = {
         "schema": GOLDEN_SCHEMA,
         "machine": "baseline",
@@ -348,8 +403,9 @@ def check_scenarios(directory: str = GOLDEN_DIR, jobs: int = 1,
     """Re-measure the scenario grid and diff against the frozen file.
 
     Same contract as :func:`check_golden`: run sizes come from the
-    frozen file, the return value is a list of human-readable mismatch
-    lines, empty means conformant.
+    frozen file, every point is measured cold and as a fork, the return
+    value is a list of human-readable mismatch lines, empty means
+    conformant.
     """
     path = _scenario_path(directory)
     try:

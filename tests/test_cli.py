@@ -18,7 +18,7 @@ class TestParser:
         sub = next(a for a in build_parser()._actions
                    if a.dest == "command")
         assert sorted(sub.choices) == [
-            "calibrate", "characterize", "diff", "golden", "list", "memval",
+            "calibrate", "characterize", "golden", "list", "memval",
             "report", "run", "sweep", "top", "trace", "warmval"]
 
     def test_machine_choices(self):
@@ -297,9 +297,10 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert f"{path}: not a JSON stats file" in err
 
-    def test_report_on_missing_file_raises(self):
-        with pytest.raises(FileNotFoundError):
-            main(["report", "/nonexistent/stats.json"])
+    def test_report_on_unreadable_path_exits_1(self, tmp_path, capsys):
+        for path in (str(tmp_path / "nonexistent.json"), str(tmp_path)):
+            assert main(["report", path]) == 1
+            assert f"report failed: {path}: " in capsys.readouterr().err
 
 
 class TestCharacterizeCommand:
@@ -340,6 +341,22 @@ class TestGoldenCommand:
         assert "froze" in capsys.readouterr().out
         assert main(["golden", "--check", "--dir", d]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_regen_refused_while_forks_diverge(self, tmp_path, capsys,
+                                               monkeypatch):
+        from repro.common.params import BASELINE
+        from repro.validate import golden
+        from tests.validate.fork_fault import leave_predictor_cold
+        monkeypatch.setattr(golden, "GOLDEN_MACHINES",
+                            {"baseline": BASELINE})
+        monkeypatch.setattr(golden, "GOLDEN_POLICIES", ("RAR",))
+        leave_predictor_cold(monkeypatch)
+        d = tmp_path / "golden"
+        assert main(["golden", "--regen", "--dir", str(d),
+                     "-n", "300", "-w", "200"]) == 1
+        err = capsys.readouterr().err
+        assert "golden regen failed" in err and "baseline/RAR: fork" in err
+        assert not d.exists()
 
     def test_check_missing_dir_fails(self, tmp_path, capsys):
         assert main(["golden", "--check",

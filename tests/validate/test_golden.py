@@ -1,12 +1,15 @@
 """Golden conformance fingerprints: canonical hashing, freeze/check
-round-trip, drift detection, and (slow tier) the full frozen matrix."""
+round-trip, drift detection, the fork leg, and (slow tier) the full
+frozen matrix."""
 
 import json
 import os
 
 import pytest
 
+from repro import checkpoint
 from repro.common.params import BASELINE
+from repro.obs.ledger import check_complete, read_ledger
 from repro.validate import golden
 from repro.validate.golden import (
     GOLDEN_MACHINES,
@@ -17,6 +20,7 @@ from repro.validate.golden import (
     golden_points,
     regen_golden,
 )
+from tests.validate.fork_fault import leave_predictor_cold
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
 
@@ -121,6 +125,46 @@ class TestRoundTrip:
             json.dump(payload, f)
         problems = check_golden(small_grid)
         assert any("schema" in p for p in problems)
+
+    def test_fork_fault_named_once_per_point(self, small_grid, monkeypatch):
+        """A fault only a checkpoint fork sees is caught by the fork leg:
+        one line per point, naming it, while the cold leg still matches
+        the frozen file."""
+        leave_predictor_cold(monkeypatch)
+        problems = check_golden(small_grid)
+        assert [p.split(":")[0] for p in problems] == [
+            "baseline/OOO", "baseline/RAR"]
+        for line in problems:
+            assert ": fork diverges from the cold run in " in line
+            assert "branch_mispredicts" in line
+            assert "commit digest " in line
+
+    def test_regen_writes_nothing_while_forks_diverge(self, monkeypatch,
+                                                      tmp_path):
+        monkeypatch.setattr(golden, "GOLDEN_MACHINES",
+                            {"baseline": BASELINE})
+        monkeypatch.setattr(golden, "GOLDEN_POLICIES", ("RAR",))
+        leave_predictor_cold(monkeypatch)
+        directory = tmp_path / "golden"
+        with pytest.raises(RuntimeError, match="baseline/RAR: fork"):
+            regen_golden(str(directory), instructions=400, warmup=300)
+        assert not directory.exists()
+
+    def test_fork_leg_forks_every_point(self, small_grid, monkeypatch,
+                                        tmp_path):
+        """The ledger shows one shared warmup per point and no cached
+        point: the fork leg really forked, rather than being served the
+        cold leg's result."""
+        # A fresh process checkpoint cache: the fixture's regen already
+        # warmed these checkpoints, and a hit records no warmup.
+        monkeypatch.setattr(checkpoint, "_PROCESS_CACHE", None)
+        path = str(tmp_path / "g.jsonl")
+        assert check_golden(small_grid, ledger=path) == []
+        events = read_ledger(path)
+        shared = [e["policy"] for e in events if e["ev"] == "warmup_shared"]
+        assert shared == ["OOO", "RAR"]
+        assert not [e for e in events if e["ev"] == "point_cached"]
+        assert check_complete(events) == []
 
     def test_check_uses_frozen_run_sizes(self, monkeypatch, tmp_path):
         """A file frozen at non-default sizes still checks clean: the

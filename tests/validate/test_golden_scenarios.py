@@ -6,6 +6,8 @@ import os
 
 import pytest
 
+from repro import checkpoint
+from repro.obs.ledger import check_complete, read_ledger
 from repro.validate import golden
 from repro.validate.golden import (
     GOLDEN_POLICIES,
@@ -16,6 +18,7 @@ from repro.validate.golden import (
     scenario_points,
     scenario_workload,
 )
+from tests.validate.fork_fault import leave_predictor_cold
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
 
@@ -110,6 +113,36 @@ class TestRoundTrip:
             json.dump(payload, f)
         problems = check_scenarios(small_grid)
         assert any("schema" in p for p in problems)
+
+    def test_fork_fault_named_once_per_point(self, small_grid, monkeypatch):
+        leave_predictor_cold(monkeypatch)
+        problems = check_scenarios(small_grid)
+        assert [p.split(": ")[0] for p in problems] == [
+            "fixture:gem5/OOO", "fixture:gem5/RAR"]
+        for line in problems:
+            assert ": fork diverges from the cold run in " in line
+
+    def test_regen_writes_nothing_while_forks_diverge(self, monkeypatch,
+                                                      tmp_path):
+        monkeypatch.setattr(golden, "GOLDEN_SCENARIOS",
+                            {"fixture:gem5": (700, 100)})
+        monkeypatch.setattr(golden, "GOLDEN_POLICIES", ("RAR",))
+        leave_predictor_cold(monkeypatch)
+        directory = tmp_path / "golden"
+        with pytest.raises(RuntimeError, match="fixture:gem5/RAR: fork"):
+            regen_scenarios(str(directory))
+        assert not directory.exists()
+
+    def test_fork_leg_forks_every_point(self, small_grid, monkeypatch,
+                                        tmp_path):
+        monkeypatch.setattr(checkpoint, "_PROCESS_CACHE", None)
+        path = str(tmp_path / "g.jsonl")
+        assert check_scenarios(small_grid, ledger=path) == []
+        events = read_ledger(path)
+        shared = [e["policy"] for e in events if e["ev"] == "warmup_shared"]
+        assert shared == ["OOO", "RAR"]
+        assert not [e for e in events if e["ev"] == "point_cached"]
+        assert check_complete(events) == []
 
     def test_check_uses_frozen_run_sizes(self, small_grid, monkeypatch):
         """Sizes come from the file, not the module constants."""
