@@ -242,7 +242,7 @@ def _iter_group_points(task: SweepTask) -> Iterator[Dict[str, Any]]:
         manifest = None
         if ledger is not None or stats_dir:
             from repro.obs.manifest import point_manifest
-            manifest = point_manifest(spec.name, machine, name,
+            manifest = point_manifest(spec, machine, name,
                                       instructions, warmup, variant=variant,
                                       warmup_mode=warmup_mode)
         if ledger is not None:
@@ -353,6 +353,7 @@ class ExperimentRunner:
         self.warmup = warmup
         self.cache_path = cache_path
         self._cache: Dict[str, SimResult] = {}
+        self._cache_write_failed = False
         if cache_path and os.path.exists(cache_path):
             self._load_disk_cache()
 
@@ -425,6 +426,7 @@ class ExperimentRunner:
         """
         from repro.core.fastfwd import validate_warmup_mode
         validate_warmup_mode(warmup_mode)
+        self._cache_write_failed = False
         specs = [get_workload(w) if isinstance(w, str) else w
                  for w in workloads]
         wdigests: Dict[str, str] = {}
@@ -483,7 +485,7 @@ class ExperimentRunner:
                     if stats_dir:
                         # Render the artifact from the cached result
                         # instead of silently re-simulating the point.
-                        self._write_cached_stats(stats_dir, cached,
+                        self._write_cached_stats(stats_dir, spec, cached,
                                                  machine, variant,
                                                  warmup_mode)
                     if ledger is not None:
@@ -492,7 +494,7 @@ class ExperimentRunner:
                             workload=spec.name, machine=machine.name,
                             policy=pol.name, variant=variant, key=key,
                             manifest=point_manifest(
-                                spec.name, machine, pol.name,
+                                spec, machine, pol.name,
                                 self.instructions, self.warmup,
                                 variant=variant,
                                 warmup_mode=warmup_mode))
@@ -575,7 +577,8 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------- internal
 
-    def _write_cached_stats(self, stats_dir: str, result: SimResult,
+    def _write_cached_stats(self, stats_dir: str, spec: Any,
+                            result: SimResult,
                             machine: MachineParams, variant: str,
                             warmup_mode: str = "detailed") -> None:
         """Render a stats artifact for a cache-satisfied point.
@@ -589,7 +592,7 @@ class ExperimentRunner:
         """
         from repro.obs import Telemetry
         from repro.obs.manifest import point_manifest
-        manifest = point_manifest(result.workload, machine, result.policy,
+        manifest = point_manifest(spec, machine, result.policy,
                                   self.instructions, self.warmup,
                                   variant=variant, warmup_mode=warmup_mode)
         manifest["from_cache"] = True
@@ -675,6 +678,15 @@ class ExperimentRunner:
         }
         try:
             atomic_write_json(self.cache_path, payload)
-        except OSError:
-            pass  # cache is an optimisation, never a failure
+        except OSError as e:
+            # The cache is an optimisation, never a failure: the sweep
+            # still returns its results, and says once per sweep that
+            # they were not saved.
+            if not self._cache_write_failed:
+                self._cache_write_failed = True
+                _log.warning(
+                    f"result cache {self.cache_path} could not be "
+                    f"written ({e}); this sweep's results are not saved",
+                    extra={"data": {"path": self.cache_path,
+                                    "reason": str(e)}})
 

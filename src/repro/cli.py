@@ -22,7 +22,7 @@ Subcommands:
                          with per-point delta tolerances and a JSON
                          report (docs/validation.md)
     characterize         measure workload characteristics
-    trace                dump/replay/import/inspect trace files
+    trace                dump/import/inspect trace files
     calibrate            auto-tune phased workloads to their targets
 
 Global flags (before the subcommand) configure the logging layer
@@ -57,7 +57,7 @@ from repro.common.params import (
 )
 from repro.core.runahead import ALL_POLICIES, EXTENSION_POLICIES, get_policy
 from repro.memory.dram import PRESET_NAMES, SCHEDULERS, dram_preset
-from repro.sim import measure, simulate, warm_core
+from repro.sim import measure, warm_core
 from repro.workloads.catalog import ALL_WORKLOADS, get_workload
 
 MACHINES: Dict[str, MachineParams] = {
@@ -150,7 +150,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     machine = MACHINES[args.machine]
     policy = args.policy_opt or args.policy
     telemetry = _build_telemetry(args)
-    core, name = warm_core(args.workload, machine, policy, args.warmup,
+    spec = get_workload(args.workload)
+    core, name = warm_core(spec, machine, policy, args.warmup,
                            telemetry=telemetry, validate=args.validate,
                            oracle=args.oracle,
                            warmup_mode=args.warmup_mode)
@@ -173,7 +174,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             from repro.obs.manifest import point_manifest
             telemetry.write_stats(
                 args.stats_out, r,
-                manifest=point_manifest(r.workload, machine, r.policy,
+                manifest=point_manifest(spec, machine, r.policy,
                                         args.instructions, args.warmup,
                                         warmup_mode=args.warmup_mode))
             print(f"  stats          -> {args.stats_out}")
@@ -380,7 +381,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.isa.tracefile import (TraceFormatError, iter_trace, load_trace,
+    from repro.isa.tracefile import (TraceFormatError, iter_trace,
                                      save_trace, trace_info)
     if args.action == "dump":
         spec = get_workload(args.workload)
@@ -411,51 +412,35 @@ def cmd_trace(args: argparse.Namespace) -> int:
             return 1
         print(_json.dumps(info, indent=2))
         return 0
-    if args.action == "head":
-        try:
-            shown = 0
-            for uop, extras in iter_trace(args.path):
-                ph = f" ph={extras['ph']}" if "ph" in extras else ""
-                print(f"{uop!r}{ph}")
-                shown += 1
-                if shown >= args.limit:
-                    break
-        except (TraceFormatError, OSError) as e:
-            print(f"trace head failed: {e}", file=sys.stderr)
-            return 1
-        return 0
-    # replay
-    trace = load_trace(args.path)
-    machine = MACHINES[args.machine]
-    r = simulate(trace, machine, args.policy,
-                 instructions=args.instructions, warmup=args.warmup)
-    print(f"replayed {r.workload!r} under {r.policy}: "
-          f"ipc={r.ipc:.3f} abc={r.abc_total} avf={r.avf:.4f}")
+    # head
+    try:
+        shown = 0
+        for uop, extras in iter_trace(args.path):
+            ph = f" ph={extras['ph']}" if "ph" in extras else ""
+            print(f"{uop!r}{ph}")
+            shown += 1
+            if shown >= args.limit:
+                break
+    except (TraceFormatError, OSError) as e:
+        print(f"trace head failed: {e}", file=sys.stderr)
+        return 1
     return 0
 
 
 def cmd_golden(args: argparse.Namespace) -> int:
-    from repro.validate.golden import check_golden, check_scenarios, \
-        golden_points, regen_golden, regen_scenarios, scenario_points
+    from repro.validate.golden import GOLDEN_POLICIES, GOLDEN_ROWS, check, \
+        regen
 
-    total = len(golden_points()) + len(scenario_points())
+    total = len(GOLDEN_ROWS) * len(GOLDEN_POLICIES)
     if args.regen:
         try:
-            written = regen_golden(args.dir, jobs=args.jobs,
-                                   instructions=args.instructions,
-                                   warmup=args.warmup, ledger=args.ledger)
-            written.append(regen_scenarios(args.dir, jobs=args.jobs,
-                                           ledger=args.ledger))
+            path = regen(args.dir, jobs=args.jobs, ledger=args.ledger)
         except RuntimeError as e:
             print(f"golden regen failed: {e}", file=sys.stderr)
             return 1
-        print(f"froze {total} golden points:")
-        for path in written:
-            print(f"  {path}")
+        print(f"froze {total} golden points -> {path}")
         return 0
-    problems = check_golden(args.dir, jobs=args.jobs, ledger=args.ledger)
-    problems += check_scenarios(args.dir, jobs=args.jobs,
-                                ledger=args.ledger)
+    problems = check(args.dir, jobs=args.jobs, ledger=args.ledger)
     if problems:
         print(f"golden check FAILED ({len(problems)} mismatch(es)):")
         for line in problems:
@@ -624,20 +609,15 @@ def build_parser() -> argparse.ArgumentParser:
         "golden", help="golden conformance fingerprints (45-point grid)")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--check", action="store_true",
-                      help="re-measure and diff against the frozen files")
+                      help="re-measure and diff against the frozen file")
     mode.add_argument("--regen", action="store_true",
                       help="refreeze the fingerprints (review the diff!)")
     p.add_argument("--dir", default="tests/golden", metavar="DIR",
-                   help="golden file directory (default tests/golden)")
+                   help="directory of the frozen golden.json "
+                        "(default tests/golden)")
     p.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
                    help="farm worker processes, one point per task "
                         "(default 1)")
-    p.add_argument("-n", "--instructions", type=int, default=3000,
-                   help="measured instructions when regenerating "
-                        "(default 3000; --check uses the frozen files')")
-    p.add_argument("-w", "--warmup", type=int, default=3000,
-                   help="warmup instructions when regenerating "
-                        "(default 3000; --check uses the frozen files')")
     p.add_argument("--ledger", metavar="FILE",
                    help="append each grid row's sweep events to a JSONL "
                         "run ledger (observational; fingerprints are "
@@ -684,20 +664,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "trace",
-        help="dump/replay/import/inspect trace files",
-        description="dump: save a catalog workload's trace; replay: run a "
-        "saved trace; import: convert a ChampSim/gem5 text trace to the "
-        "repro format; info: summarise a saved trace; head: print its "
-        "first uops. Imported/saved traces run anywhere a workload name "
-        "is accepted, as trace:<path>.")
-    p.add_argument("action", choices=("dump", "replay", "import", "info",
-                                      "head"))
+        help="dump/import/inspect trace files",
+        description="dump: save a catalog workload's trace; import: "
+        "convert a ChampSim/gem5 text trace to the repro format; info: "
+        "summarise a saved trace; head: print its first uops. Dumped and "
+        "imported traces run anywhere a workload name is accepted, as "
+        "trace:<path> (e.g. `repro run trace:<path> RAR`).")
+    p.add_argument("action", choices=("dump", "import", "info", "head"))
     p.add_argument("path", help="trace file (import: the foreign input)")
     p.add_argument("-k", "--workload", default="mcf",
                    help="catalog workload to dump")
-    p.add_argument("-p", "--policy", default="OOO")
-    p.add_argument("-m", "--machine", default="baseline",
-                   choices=sorted(MACHINES))
     p.add_argument("-l", "--limit", type=int, default=100_000,
                    help="max uops to dump/import (head: lines to show)")
     p.add_argument("-o", "--out",
@@ -706,7 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("auto", "champsim", "gem5"),
                    help="import input format (default: sniff)")
     p.add_argument("--name", help="embedded trace name for import")
-    _add_size_args(p)
 
     p = sub.add_parser(
         "calibrate",

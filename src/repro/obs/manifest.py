@@ -11,7 +11,7 @@ carries a manifest:
   only by accident).
 - ``params_digest``: :meth:`RunKey.digest` of the machine configuration,
   so a manifest pins the *full* parameter set, not just its display
-  name.
+  name; ``workload_digest`` does the same for the workload.
 - ``seed``, run sizes, and the package/interpreter versions, hostname
   and timestamp.
 
@@ -91,20 +91,22 @@ def host_manifest(extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     return out
 
 
-def point_manifest(workload: str, machine, policy: str,
+def point_manifest(workload, machine, policy: str,
                    instructions: int, warmup: int,
-                   seed: Optional[int] = None,
                    variant: str = "",
                    warmup_mode: str = "detailed") -> Dict[str, Any]:
     """The per-point provenance record: run key coordinates + revision.
 
+    ``workload`` is the measured workload object, recorded by name, seed
+    and content digest (:func:`~repro.analysis.experiments.workload_digest`),
+    so a reseeded or edited workload under a catalog name is told apart.
     ``machine`` may be a :class:`MachineParams` (digested via
     :meth:`RunKey.digest`) or an already-computed digest string.
     ``warmup_mode`` records how the point's warmup region was produced
     (``detailed`` pipeline vs ``fast`` functional walk) so mixed-mode
     sweeps stay auditable per point.
     """
-    from repro.analysis.experiments import RunKey
+    from repro.analysis.experiments import RunKey, workload_digest
 
     if isinstance(machine, str):
         machine_name, digest = machine, ""
@@ -112,13 +114,14 @@ def point_manifest(workload: str, machine, policy: str,
         machine_name, digest = machine.name, RunKey.digest(machine)
     git = git_state()
     out = {
-        "workload": workload,
+        "workload": workload.name,
         "machine": machine_name,
         "policy": policy,
         "instructions": instructions,
         "warmup": warmup,
         "warmup_mode": warmup_mode,
-        "seed": seed,
+        "seed": getattr(workload, "seed", None),
+        "workload_digest": workload_digest(workload),
         "variant": variant,
         "params_digest": digest,
         "git_sha": git["sha"],
@@ -128,23 +131,17 @@ def point_manifest(workload: str, machine, policy: str,
     return out
 
 
-def _workload_provenance(workload: str) -> Dict[str, Any]:
+def _workload_provenance(workload) -> Dict[str, Any]:
     """Scenario-specific provenance: phased workloads record their
     schedule length, trace-backed workloads the backing file + content
-    hash (a re-imported or edited trace is a *different* experiment).
-    Best-effort like git_state — never a run blocker."""
-    try:
-        from repro.workloads.catalog import get_workload
-        from repro.workloads.tracewl import TraceWorkload
-        wl = get_workload(workload)
-        if isinstance(wl, TraceWorkload):
-            return {"trace_file": wl.path,
-                    "trace_sha256": wl.file_sha256(),
-                    "trace_format_version": wl.version}
-        phases = getattr(wl, "phases", ())
-        if phases:
-            return {"phase_count": len(phases),
-                    "phase_schedule_iters": sum(p.duration for p in phases)}
-    except Exception:
-        pass
+    hash (a re-imported or edited trace is a *different* experiment)."""
+    from repro.workloads.tracewl import TraceWorkload
+    if isinstance(workload, TraceWorkload):
+        return {"trace_file": workload.path,
+                "trace_sha256": workload.file_sha256(),
+                "trace_format_version": workload.version}
+    phases = getattr(workload, "phases", ())
+    if phases:
+        return {"phase_count": len(phases),
+                "phase_schedule_iters": sum(p.duration for p in phases)}
     return {}

@@ -22,8 +22,9 @@ disabled:
   checkpoint API.
 - :mod:`repro.validate.golden` — canonical conformance fingerprints
   (stable hash of the full result payload plus the oracle's commit
-  digest) for the 45-point conformance grid, frozen under
-  ``tests/golden/`` and checked by ``repro golden``. Every point is
+  digest) for the 45-point conformance grid (one table,
+  ``GOLDEN_ROWS``), frozen in ``tests/golden/golden.json`` and checked
+  by ``repro golden``. Every point is
   measured from a cold core and again from a same-policy checkpoint
   fork, and the two must be bit-identical.
 

@@ -146,6 +146,28 @@ class TestRunnerCache:
         with open(path) as f:
             assert json.load(f)["data"][key] == first["OOO"]["x264"].to_dict()
 
+    def test_cache_write_failure_warns_once_per_sweep(self, tmp_path,
+                                                      caplog, monkeypatch):
+        """A cache that cannot be written does not fail the sweep; one
+        warning per ``run_matrix`` call names the path and the error."""
+        from repro.analysis import experiments
+
+        def refuse(path, payload, indent=None):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(experiments, "atomic_write_json", refuse)
+        path = os.path.join(str(tmp_path), "cache.json")
+        r = ExperimentRunner(instructions=600, warmup=200, cache_path=path)
+        for policies in (["OOO", "RAR"], ["PRE", "FLUSH"]):
+            with caplog.at_level(logging.WARNING, logger="repro"):
+                out = r.run_matrix(["x264"], BASELINE, policies)
+            assert set(out) == set(policies) and out.ok
+            (warned,) = [m for m in caplog.messages if path in m]
+            assert "could not be written" in warned
+            assert "Permission denied" in warned
+            caplog.clear()
+        assert not os.path.exists(path)
+
     def test_default_warmup_matches_simulate(self):
         from repro.common.params import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
         r = ExperimentRunner()

@@ -312,10 +312,15 @@ class TestCharacterizeCommand:
     def test_trace_dump_and_replay(self, tmp_path, capsys):
         path = str(tmp_path / "t.trace")
         assert main(["trace", "dump", path, "-k", "x264", "-l", "3000"]) == 0
-        assert main(["trace", "replay", path, "-p", "OOO",
+        assert main(["run", f"trace:{path}", "OOO",
                      "-n", "500", "-w", "300"]) == 0
         out = capsys.readouterr().out
-        assert "replayed" in out
+        assert "IPC" in out
+
+    def test_trace_replay_action_removed(self, tmp_path):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["trace", "replay", str(tmp_path / "t.trace")])
 
 
 class TestGoldenCommand:
@@ -328,16 +333,17 @@ class TestGoldenCommand:
             parser.parse_args(["golden"])  # --check or --regen required
         with pytest.raises(SystemExit):
             parser.parse_args(["golden", "--check", "--regen"])
+        with pytest.raises(SystemExit):  # the table sets the run sizes
+            parser.parse_args(["golden", "--regen", "-n", "300"])
 
     def test_regen_check_roundtrip(self, tmp_path, capsys, monkeypatch):
         from repro.common.params import BASELINE
         from repro.validate import golden
-        monkeypatch.setattr(golden, "GOLDEN_MACHINES",
-                            {"baseline": BASELINE})
+        monkeypatch.setattr(golden, "GOLDEN_ROWS",
+                            {"baseline": ("mcf", BASELINE, 300, 200)})
         monkeypatch.setattr(golden, "GOLDEN_POLICIES", ("RAR",))
         d = str(tmp_path / "golden")
-        assert main(["golden", "--regen", "--dir", d,
-                     "-n", "300", "-w", "200"]) == 0
+        assert main(["golden", "--regen", "--dir", d]) == 0
         assert "froze" in capsys.readouterr().out
         assert main(["golden", "--check", "--dir", d]) == 0
         assert "OK" in capsys.readouterr().out
@@ -347,13 +353,12 @@ class TestGoldenCommand:
         from repro.common.params import BASELINE
         from repro.validate import golden
         from tests.validate.fork_fault import leave_predictor_cold
-        monkeypatch.setattr(golden, "GOLDEN_MACHINES",
-                            {"baseline": BASELINE})
+        monkeypatch.setattr(golden, "GOLDEN_ROWS",
+                            {"baseline": ("mcf", BASELINE, 300, 200)})
         monkeypatch.setattr(golden, "GOLDEN_POLICIES", ("RAR",))
         leave_predictor_cold(monkeypatch)
         d = tmp_path / "golden"
-        assert main(["golden", "--regen", "--dir", str(d),
-                     "-n", "300", "-w", "200"]) == 1
+        assert main(["golden", "--regen", "--dir", str(d)]) == 1
         err = capsys.readouterr().err
         assert "golden regen failed" in err and "baseline/RAR: fork" in err
         assert not d.exists()
