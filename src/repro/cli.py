@@ -48,6 +48,8 @@ Perfetto), ``--timeline-out`` (JSONL/CSV interval samples),
 """
 
 import argparse
+import contextlib
+import logging
 import sys
 from typing import Dict, List
 
@@ -427,20 +429,39 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _sweep_lines_only_when_verbose(verbose: bool):
+    """Hold back the ``repro.sweep`` start/done lines unless ``verbose``;
+    warnings still show, and a ledger still records every sweep."""
+    from repro.obs import log as obs_log
+
+    sweep_log = obs_log.get_logger("sweep")
+    level = sweep_log.level
+    if not verbose:
+        sweep_log.setLevel(max(level, logging.WARNING))
+    try:
+        yield
+    finally:
+        sweep_log.setLevel(level)
+
+
 def cmd_golden(args: argparse.Namespace) -> int:
     from repro.validate.golden import GOLDEN_POLICIES, GOLDEN_ROWS, check, \
         regen
 
     total = len(GOLDEN_ROWS) * len(GOLDEN_POLICIES)
-    if args.regen:
-        try:
-            path = regen(args.dir, jobs=args.jobs, ledger=args.ledger)
-        except RuntimeError as e:
-            print(f"golden regen failed: {e}", file=sys.stderr)
-            return 1
-        print(f"froze {total} golden points -> {path}")
-        return 0
-    problems = check(args.dir, jobs=args.jobs, ledger=args.ledger)
+    # Golden runs one sweep per row and per fork: their lines would bury
+    # the verdict.
+    with _sweep_lines_only_when_verbose(args.verbose):
+        if args.regen:
+            try:
+                path = regen(args.dir, jobs=args.jobs, ledger=args.ledger)
+            except RuntimeError as e:
+                print(f"golden regen failed: {e}", file=sys.stderr)
+                return 1
+            print(f"froze {total} golden points -> {path}")
+            return 0
+        problems = check(args.dir, jobs=args.jobs, ledger=args.ledger)
     if problems:
         print(f"golden check FAILED ({len(problems)} mismatch(es)):")
         for line in problems:

@@ -843,36 +843,55 @@ class RunaheadController(Component):
         self.frontend.redirect(c, penalty=1 << 60)  # normal fetch off
 
     def runahead_advance(self, c: int) -> int:
+        # The cursor is the hot loop of a runahead interval. It keeps the
+        # fetch index and its own counters in locals (written back on the
+        # way out) and reads the trace buffer directly.
+        stats = self.stats
         if c < self._ra_resume:
-            self.stats.ra_stall_resume += 1
+            stats.ra_stall_resume += 1
             return 0
         if self._ra_diverged:
-            self.stats.ra_stall_diverged += 1
+            stats.ra_stall_diverged += 1
             return 0
         rel = self._ra_iq_releases
         if rel and rel[0] <= c:
             self.drain_ra_iq(c)
-        prdq_q = self.prdq._q
+        prdq = self.prdq
+        prdq_q = prdq._q
         if prdq_q and prdq_q[0][0] <= c:
-            self.prdq.drain(c)
+            prdq.drain(c)
+        try_allocate = prdq.try_allocate
         policy = self.core.policy
+        lean = policy.lean
+        buffered = policy.buffer
+        vector = policy.vector
+        sst_lookup = self.sst.lookup
+        observer = self.core.observer
         trace = self.trace
+        buf = trace._buf
+        predictor = self.predictor
+        schedule = self.engine.schedule
+        interval = self._ra_interval
         inflight = self.backend.inflight
-        stats = self.stats
         ra_inv = self._ra_inv
         ra_ready = self._ra_ready
         iq = self.iq
         uop_lat = self.fus._uop_latency
         budget = self.width
+        fi = self._ra_fetch_idx
+        examined = executed = 0
         progress = 0
         #: runahead-buffer replay skips non-chain uops for free, but the
         #: scan per cycle is still bounded (buffer index hardware).
-        free_skips = 16 * self.width if policy.buffer else 0
+        free_skips = 16 * self.width if buffered else 0
         while budget > 0:
-            st = trace.get(self._ra_fetch_idx)
-            if st is None:
-                break
-            stats.runahead_uops_examined += 1
+            if fi < len(buf):
+                st = buf[fi]
+            else:
+                st = trace.get(fi)
+                if st is None:
+                    break
+            examined += 1
             idx = st.idx
             inv = False
             for src in st.srcs:
@@ -882,52 +901,56 @@ class RunaheadController(Component):
             if inv:
                 ra_inv.add(idx)
             cls = st.cls
-            if cls == _BRANCH and policy.buffer:
+            if cls == _BRANCH and buffered:
                 # The runahead buffer replays a straight chain: it cannot
                 # re-steer. Correctly-predicted branches are invisible to
                 # it; a mispredicted one ends the replay.
-                predicted = self.predictor.predict(st.pc)
-                self.predictor.shift_history(predicted)
+                predicted = predictor.predict(st.pc)
+                predictor.shift_history(predicted)
+                fi += 1
+                progress += 1
                 if predicted != st.taken:
                     self._ra_diverged = True
-                    self._ra_fetch_idx += 1
-                    return progress + 1
-                self._ra_fetch_idx += 1
-                progress += 1
+                    break
                 if free_skips > 0:
                     free_skips -= 1
                 else:
                     budget -= 1
                 continue
             if cls == _BRANCH:
+                fi += 1
+                progress += 1
                 if inv:
                     # Miss-dependent branch: cannot execute, follow the
                     # prediction (speculative history shift, no training).
-                    predicted = self.predictor.predict(st.pc)
-                    self.predictor.shift_history(predicted)
+                    predicted = predictor.predict(st.pc)
+                    predictor.shift_history(predicted)
                     if predicted != st.taken:
                         # Went the wrong way and cannot be repaired: the
                         # rest of the interval is diverged.
                         self._ra_diverged = True
-                        self._ra_fetch_idx += 1
-                        return progress + 1
+                        break
                 else:
                     # Runahead executes valid branches: predictor trains
                     # and history advances, exactly like normal fetch (a
                     # known side benefit of runahead execution).
-                    predicted = self.predictor.observe(st.pc, st.taken)
+                    predicted = predictor.observe(st.pc, st.taken)
                     if predicted != st.taken:
                         # Resolve and re-steer the cursor.
                         self._ra_resume = c + self.machine.core.frontend_depth
-                        self._ra_fetch_idx += 1
-                        return progress + 1
-                self._ra_fetch_idx += 1
+                        break
                 budget -= 1
-                progress += 1
                 continue
-            execute = not inv and (not policy.lean or self.sst_hit(st))
+            if inv:
+                execute = False
+            elif not lean:
+                execute = True
+            else:
+                execute = sst_lookup(st.pc)
+                if execute and observer:
+                    observer("sst_hit", c, pc=st.pc)
             if not execute:
-                self._ra_fetch_idx += 1
+                fi += 1
                 progress += 1
                 if free_skips > 0:
                     # Buffer replay: non-chain uops never enter the engine.
@@ -938,8 +961,8 @@ class RunaheadController(Component):
             # Vector runahead: consecutive slice instances share one
             # issue/IQ slot per `vector`-wide group.
             vector_free = False
-            if policy.vector:
-                vector_free = (self._ra_vec_fill % policy.vector) != 0
+            if vector:
+                vector_free = (self._ra_vec_fill % vector) != 0
                 self._ra_vec_fill += 1
             # Acquire runahead resources: a free IQ entry, and a register
             # via the PRDQ when the uop writes a destination.
@@ -960,39 +983,29 @@ class RunaheadController(Component):
                 if t > ready:
                     ready = t
             ready += uop_lat[cls]
-            if st.has_dest and not vector_free:
-                if not self.prdq.can_allocate(st.is_fp):
+            # A vector group's followers ride in the leader's slot: no
+            # register, IQ entry or fetch budget of their own.
+            if not vector_free:
+                if st.has_dest and not try_allocate(st.is_fp, ready):
                     stats.ra_stall_prdq += 1
                     break
-                self.prdq.allocate(st.is_fp, ready)
-            if not vector_free:
                 iq.runahead_used += 1
-                heapq.heappush(self._ra_iq_releases, ready)
-            stats.runahead_uops_executed += 1
+                heapq.heappush(rel, ready)
+                budget -= 1
+            executed += 1
             if cls == _LOAD or cls == _STORE:
-                self.engine.schedule(max(ready, c + 1), EV_RA_ISSUE,
-                                     (self._ra_interval, st, 0, 0))
+                schedule(ready if ready > c else c + 1, EV_RA_ISSUE,
+                         (interval, st, 0, 0))
                 est = self._est_latency[self.mem.probe_level(st.addr)]
                 ra_ready[idx] = ready + est
             else:
                 ra_ready[idx] = ready
-            self._ra_fetch_idx += 1
-            if vector_free:
-                pass  # batched into the group leader's slot
-            elif free_skips > 0 and not execute:
-                free_skips -= 1
-            else:
-                budget -= 1
+            fi += 1
             progress += 1
+        self._ra_fetch_idx = fi
+        stats.runahead_uops_examined += examined
+        stats.runahead_uops_executed += executed
         return progress
-
-    def sst_hit(self, st) -> bool:
-        hit = self.sst.lookup(st.pc)
-        if hit:
-            observer = self.core.observer
-            if observer:
-                observer("sst_hit", self.engine.cycle, pc=st.pc)
-        return hit
 
     def train_sst(self, idx: int, pc: int) -> None:
         """Insert the LLC-missing load's backward slice into the SST."""
@@ -1041,9 +1054,8 @@ class RunaheadController(Component):
             # The chain keeps its backoff steps rather than jumping to
             # ``until``: a later-scheduled event that lands on the same
             # cycle must keep its place behind same-cycle MSHR grabs.
-            backoff = min(32, 4 << min(retry, 3))
-            self.engine.schedule(when + backoff, EV_RA_ISSUE,
-                                 (interval, st, retry + 1, until))
+            self.engine.schedule(when + (32 if retry >= 3 else 4 << retry),
+                                 EV_RA_ISSUE, (interval, st, retry + 1, until))
             return
         done, level, merged = result
         self.stats.runahead_prefetches += 1

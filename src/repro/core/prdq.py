@@ -29,19 +29,17 @@ class Prdq:
     def __len__(self) -> int:
         return len(self._q)
 
-    @property
-    def full(self) -> bool:
-        return len(self._q) >= self.size
+    def try_allocate(self, fp: bool, release_cycle: int) -> bool:
+        """Lend a free register until ``release_cycle``.
 
-    def can_allocate(self, fp: bool) -> bool:
-        return not self.full and self._regs.runahead_available(fp)
-
-    def allocate(self, fp: bool, release_cycle: int) -> None:
-        if self.full:
-            raise OverflowError("PRDQ full")
-        self._regs.runahead_borrow(fp)
+        False, with nothing changed, when the queue is full or the
+        register class has no free register.
+        """
+        if len(self._q) >= self.size or not self._regs.runahead_borrow(fp):
+            return False
         heapq.heappush(self._q, (release_cycle, fp))
         self.allocations += 1
+        return True
 
     def drain(self, cycle: int) -> int:
         """Release every allocation whose value is dead by ``cycle``."""

@@ -43,20 +43,19 @@ class RegisterFiles:
 
     # -------------------------------------------------- runahead lending
 
-    def runahead_available(self, fp: bool) -> bool:
-        return (self.fp_free if fp else self.int_free) > 0
-
-    def runahead_borrow(self, fp: bool) -> None:
+    def runahead_borrow(self, fp: bool) -> bool:
+        """Lend one free register of a class; False when none is free."""
         if fp:
             if self.fp_free <= 0:
-                raise OverflowError("no free fp registers for runahead")
+                return False
             self.fp_free -= 1
             self.runahead_fp += 1
         else:
             if self.int_free <= 0:
-                raise OverflowError("no free int registers for runahead")
+                return False
             self.int_free -= 1
             self.runahead_int += 1
+        return True
 
     def runahead_return(self, fp: bool) -> None:
         if fp:

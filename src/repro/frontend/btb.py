@@ -11,6 +11,10 @@ from typing import List
 
 
 class Btb:
+    #: attributes holding flat lists of ints, which a checkpoint restore
+    #: copies by slice (see ``Checkpoint.restore_into``)
+    flat_lists = ("_tags", "_targets")
+
     def __init__(self, entries: int = 4096):
         if entries & (entries - 1):
             raise ValueError("BTB entries must be a power of two")

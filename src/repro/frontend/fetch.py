@@ -51,6 +51,12 @@ class WrongPathSource:
         self._warm_lines = warm_size // 64
         self._cold_base = cold_base
         self._cold_lines = cold_size // 64
+        if self._warm_lines < 1 or self._cold_lines < 1:
+            raise ValueError("wrong-path regions must hold at least one "
+                             "64-byte line")
+        # Bit widths of ``randrange``'s rejection draws (see next_uop).
+        self._warm_bits = self._warm_lines.bit_length()
+        self._cold_bits = self._cold_lines.bit_length()
         self._count = 0
 
     _MIX_INT = tuple(int(c) for c in _MIX)
@@ -72,11 +78,21 @@ class WrongPathSource:
         shared = self._SHARED[slot]
         if shared is not None:
             return shared
+        # The line is ``randrange(lines)`` drawn the way ``randrange``
+        # draws it: ``getrandbits(lines.bit_length())`` until below
+        # ``lines``. Same draws, same random stream, fewer calls.
         rng = self._rng
         if rng.random() < self.COLD_FRACTION:
-            addr = self._cold_base + rng.randrange(self._cold_lines) * 64
+            base, lines, bits = \
+                self._cold_base, self._cold_lines, self._cold_bits
         else:
-            addr = self._warm_base + rng.randrange(self._warm_lines) * 64
+            base, lines, bits = \
+                self._warm_base, self._warm_lines, self._warm_bits
+        getrandbits = rng.getrandbits
+        line = getrandbits(bits)
+        while line >= lines:
+            line = getrandbits(bits)
+        addr = base + line * 64
         return StaticUop(-count, _WRONG_PATH_PC + (count % 251) * 4,
                          self._MIX_INT[slot], (), addr, False)
 

@@ -47,6 +47,18 @@ class _TaggedTable:
         self._idx_drop = hist_len % self._idx_bits
         self._tag_drop = hist_len % tag_bits
 
+    def __deepcopy__(self, memo) -> "_TaggedTable":
+        # A checkpoint copies every table: the three entry lists (of
+        # ints) by slice, the rest are ints.
+        new = _TaggedTable.__new__(_TaggedTable)
+        memo[id(self)] = new
+        for name in self.__slots__:
+            setattr(new, name, getattr(self, name))
+        new.tags = self.tags[:]
+        new.ctrs = self.ctrs[:]
+        new.useful = self.useful[:]
+        return new
+
     def fold(self, hist: int, bits: int) -> int:
         h = hist & ((1 << self.hist_len) - 1)
         folded = 0
@@ -114,6 +126,10 @@ class TageScL:
         table_size: entries per tagged component (power of two).
         min_hist/max_hist: geometric history length range.
     """
+
+    #: attributes holding flat lists of ints, which a checkpoint restore
+    #: copies by slice (see ``Checkpoint.restore_into``)
+    flat_lists = ("bimodal",)
 
     def __init__(
         self,

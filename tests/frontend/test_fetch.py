@@ -1,5 +1,7 @@
 """Front-end pipe timing and wrong-path synthesis."""
 
+import pytest
+
 from repro.common.enums import UopClass
 from repro.frontend.fetch import WrongPathSource
 
@@ -84,6 +86,14 @@ class TestWrongPathSource:
         classes = {src.next_uop().cls for _ in range(32)}
         assert int(UopClass.LOAD) in classes
         assert int(UopClass.STORE) in classes
+
+    @pytest.mark.parametrize("sizes", [dict(warm_size=63),
+                                       dict(cold_size=0)])
+    def test_region_without_a_line_rejected(self, sizes):
+        # A line is drawn below the region's line count; with none the
+        # draw could never end.
+        with pytest.raises(ValueError, match="at least one"):
+            WrongPathSource(seed=1, **sizes)
 
     def test_loads_have_addresses(self):
         src = WrongPathSource(seed=3)

@@ -102,6 +102,17 @@ class TestConfigure:
         assert all(isinstance(h, logging.NullHandler)
                    for h in root.handlers)
 
+    def test_reset_lets_caplog_see_records_again(self, caplog):
+        # configure() stops propagation to the root logger; reset() must
+        # restore it, or caplog (a root handler) misses every record.
+        obs_log.configure(stream=io.StringIO())
+        obs_log.reset()
+        assert logging.getLogger(obs_log.ROOT_NAME).propagate
+        with caplog.at_level(logging.WARNING):
+            obs_log.get_logger("sweep").warning("cache unwritable")
+        assert [r.getMessage() for r in caplog.records] == \
+            ["cache unwritable"]
+
 
 class TestWorkerQueuePath:
     def test_records_cross_the_queue(self):

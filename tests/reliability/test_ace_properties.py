@@ -6,6 +6,8 @@ lies at or after a uop's earliest timestamp. Both are checked here
 against slower references: a per-cycle count of the covered cycles, and
 the per-structure ``_charge`` + prefix-sum/bisect algorithm that
 ``charge_commit`` replaced, kept below as the reference oracle.
+``charge_commit`` folds a uop's intervals into one weight per timestamp;
+the last class checks that on intervals spanning many windows.
 """
 
 from bisect import bisect_left, bisect_right
@@ -113,27 +115,29 @@ class RefAccountant:
 
 
 @st.composite
-def monotone_windows(draw):
+def monotone_windows(draw, min_windows=0, open_window=None):
     """Windows opened and closed in cycle order, as the commit unit does:
     gaps of 0 make touching windows, lengths of 0 make empty ones, and
-    the last window may stay open. Returns the window list, the open
-    start (or None) and the horizon past the last event."""
+    the last window may stay open (always with ``open_window=True``).
+    Returns the window list, the open start (or None) and the horizon
+    past the last event."""
     t = 0
     windows = []
-    for _ in range(draw(st.integers(0, 10))):
+    for _ in range(draw(st.integers(min_windows, 10))):
         t += draw(st.integers(0, 15))
         length = draw(st.integers(0, 15))
         windows.append((t, t + length))
         t += length
     open_start = None
-    if draw(st.booleans()):
+    if open_window or (open_window is None and draw(st.booleans())):
         open_start = t + draw(st.integers(0, 15))
         t = open_start
     return windows, open_start, t + 20
 
 
-def build(windows, open_start):
-    w = BlockedWindows()
+def replay(w, windows, open_start):
+    """Open and close ``w`` (a window set) along the script; returns the
+    covered cycles of the recorded windows."""
     covered = set()
     for s, e in windows:
         w.open(s)
@@ -143,7 +147,12 @@ def build(windows, open_start):
         covered.update(range(s, e))
     if open_start is not None:
         w.open(open_start)
-    return w, covered
+    return covered
+
+
+def build(windows, open_start):
+    w = BlockedWindows()
+    return w, replay(w, windows, open_start)
 
 
 def brute(covered, open_start, a, b):
@@ -239,6 +248,39 @@ class TestChargeCommitMatchesReference:
                 kind, which, cycle = op
                 getattr(getattr(new, which), kind)(cycle)
                 getattr(getattr(ref, which), kind)(cycle)
+            assert new.bits == ref.bits
+            assert new.bits_in_head_blocked == ref.bits_in_head_blocked
+            assert new.bits_in_full_stall == ref.bits_in_full_stall
+        assert new.committed_charged == ref.committed_charged
+        assert new.intervals == (ref.intervals if record else [])
+
+
+class TestChargeCommitAcrossWindows:
+    """Uops whose intervals cross several recorded windows of both sets
+    and reach into an open one, with timestamps in pipeline order (issue
+    and writeback may be missing): every ``cum`` query of the folded
+    weights meets a bisect, a straddled window or the open window."""
+
+    @given(monotone_windows(min_windows=2, open_window=True),
+           monotone_windows(min_windows=2), st.data(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_against_per_structure_charge(self, hb_script, fs_script, data,
+                                          record):
+        new = AceAccountant(fu_cycles, record_intervals=record)
+        ref = RefAccountant(fu_cycles)
+        for acct in (new, ref):
+            replay(acct.head_blocked, *hb_script[:2])
+            replay(acct.full_stall, *fs_script[:2])
+        horizon = max(hb_script[2], fs_script[2])
+        missing = st.just(-1)
+        for seq in range(data.draw(st.integers(1, 12))):
+            d = data.draw(st.integers(0, horizon))
+            i = data.draw(st.one_of(missing, st.integers(d, horizon)))
+            w = data.draw(st.one_of(missing, st.integers(max(d, i), horizon)))
+            c = data.draw(st.integers(max(d, i, w), horizon + 10))
+            cls = data.draw(st.sampled_from(CLASSES))
+            new.charge_commit(dyn(seq, cls, d, i, w, c))
+            ref.charge_commit(dyn(seq, cls, d, i, w, c))
             assert new.bits == ref.bits
             assert new.bits_in_head_blocked == ref.bits_in_head_blocked
             assert new.bits_in_full_stall == ref.bits_in_full_stall

@@ -52,6 +52,34 @@ class TestBitIdentity:
         second = measure(ck.fork(), N, "mcf")
         assert first == second
 
+    def test_mutated_fork_leaves_the_checkpoint_intact(self):
+        """Forks copy the cache and predictor tables by slice: writing
+        into one fork's L3 sets, TAGE counters, bimodal table and BTB in
+        place must not reach the checkpoint or a later fork."""
+        ck = warm_checkpoint("mcf", BASELINE, "RAR", warmup=W, seed=3)
+        before = ck.fork()
+        victim = ck.fork()
+        l3 = victim.mem.l3
+        assert l3._sets and l3._dirty is not before.mem.l3._dirty
+        for ways in l3._sets.values():
+            ways.reverse()
+            ways.append(-1)
+        l3._dirty.add((0, -1))
+        for table in victim.predictor.tables:
+            table.ctrs[:] = [3] * len(table.ctrs)
+            table.tags[0] ^= 1
+        victim.predictor.bimodal[:] = [0] * len(victim.predictor.bimodal)
+        victim.btb._tags[:] = [7] * len(victim.btb._tags)
+        after = ck.fork()
+        assert after.mem.l3._sets == before.mem.l3._sets
+        assert after.mem.l3._dirty == before.mem.l3._dirty
+        for got, want in zip(after.predictor.tables, before.predictor.tables):
+            assert (got.tags, got.ctrs, got.useful) == \
+                (want.tags, want.ctrs, want.useful)
+        assert after.predictor.bimodal == before.predictor.bimodal
+        assert after.btb._tags == before.btb._tags
+        assert measure(after, N, "mcf") == measure(before, N, "mcf")
+
 
 class TestCheckpointApi:
     def test_cross_policy_fork_runs(self):

@@ -348,6 +348,35 @@ class TestGoldenCommand:
         assert main(["golden", "--check", "--dir", d]) == 0
         assert "OK" in capsys.readouterr().out
 
+    def test_sweep_lines_only_under_verbose(self, tmp_path, capsys,
+                                            monkeypatch):
+        from repro.common.params import BASELINE
+        from repro.obs.ledger import read_ledger
+        from repro.validate import golden
+        monkeypatch.setattr(golden, "GOLDEN_ROWS",
+                            {"baseline": ("mcf", BASELINE, 300, 200)})
+        monkeypatch.setattr(golden, "GOLDEN_POLICIES", ("RAR",))
+        d = str(tmp_path / "golden")
+        assert main(["golden", "--regen", "--dir", d]) == 0
+        capsys.readouterr()
+        ledger = str(tmp_path / "g.jsonl")
+        assert main(["golden", "--check", "--dir", d,
+                     "--ledger", ledger]) == 0
+        out, err = capsys.readouterr()
+        assert out == "golden check OK: 1 points conformant\n"
+        assert "sweep" not in err
+        kinds = [e["ev"] for e in read_ledger(ledger)]
+        assert kinds.count("sweep_start") == kinds.count("sweep_done") == 2
+        assert main(["-v", "golden", "--check", "--dir", d,
+                     "--ledger", ledger]) == 0
+        err = capsys.readouterr().err
+        assert err.count("sweep start") == err.count("sweep done") == 2
+        # `sweep` itself keeps its lines at default verbosity.
+        assert main(["sweep", "mcf", "-p", "RAR", "-n", "300", "-w", "200",
+                     "--ledger", ledger]) == 0
+        err = capsys.readouterr().err
+        assert err.count("sweep start") == err.count("sweep done") == 1
+
     def test_regen_refused_while_forks_diverge(self, tmp_path, capsys,
                                                monkeypatch):
         from repro.common.params import BASELINE
