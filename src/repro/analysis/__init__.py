@@ -8,9 +8,8 @@ from repro.analysis.energy import (
     energy_per_instruction,
 )
 from repro.analysis.experiments import ExperimentRunner, RunKey
-from repro.analysis.plots import bar_chart, scatter, stacked_bars
 from repro.analysis.stats import amean, gmean, hmean
-from repro.analysis.tables import format_series, format_table
+from repro.analysis.tables import format_table
 
 __all__ = [
     "ExperimentRunner",
@@ -19,10 +18,6 @@ __all__ = [
     "gmean",
     "hmean",
     "format_table",
-    "format_series",
-    "bar_chart",
-    "stacked_bars",
-    "scatter",
     "BootstrapCI",
     "bootstrap_ci",
     "paired_difference_ci",

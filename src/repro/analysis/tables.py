@@ -1,12 +1,10 @@
-"""Plain-text table/series formatting for the benchmark harness.
+"""Plain-text table formatting for the benchmark harness.
 
-The harness prints the same rows/series the paper's tables and figures
-report; these helpers keep the output aligned and diff-friendly.
+The harness prints the same rows the paper's tables and figures
+report; this keeps the output aligned and diff-friendly.
 """
 
-from typing import Dict, Iterable, List, Sequence, Union
-
-Number = Union[int, float]
+from typing import Iterable, List, Sequence
 
 
 def _fmt(value, width: int, precision: int) -> str:
@@ -39,12 +37,3 @@ def format_table(
             _fmt(cell, w, precision) for cell, w in zip(r, widths)))
     return "\n".join(lines)
 
-
-def format_series(name: str, points: Dict[str, Number],
-                  precision: int = 3) -> str:
-    """One figure series as ``name: key=value key=value ...``."""
-    body = " ".join(
-        f"{k}={v:.{precision}f}" if isinstance(v, float) else f"{k}={v}"
-        for k, v in points.items()
-    )
-    return f"{name}: {body}"

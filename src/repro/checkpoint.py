@@ -119,6 +119,8 @@ class Checkpoint:
             memo[id(core.mem.observer)] = None
         if core.observer is not None:
             memo[id(core.observer)] = None
+        # So are the ACE intervals a sanitized core records: capture none.
+        memo[id(core.ace.intervals)] = []
         blob = copy.deepcopy(raw, memo)
         return cls(workload=workload, machine=core.machine,
                    policy=core.policy, warmup=warmup, seed=seed,
@@ -169,7 +171,9 @@ class Checkpoint:
         live structures) and then overwritten in place with the blob.
         ``validate`` enables the invariant sanitizer on the fork — the
         checker is wiring, not state, so it is orthogonal to whether the
-        checkpoint itself was captured from a sanitized core. ``oracle``
+        checkpoint itself was captured from a sanitized core. So is ACE
+        interval recording: a sanitized fork records from an empty list,
+        an unsanitized one records nothing. ``oracle``
         likewise attaches the commit-stream oracle to the fork; it is
         attached *after* the restore, so its reference walk resumes at
         the restored window's oldest in-flight instruction.
@@ -182,6 +186,7 @@ class Checkpoint:
         core = OutOfOrderCore(self.machine, self.trace, policy,
                               seed=core_seed, validate=validate)
         self.restore_into(core)
+        core.ace.record_intervals = validate
         if oracle:
             from repro.validate.oracle import attach_oracle
             attach_oracle(core)

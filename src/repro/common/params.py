@@ -91,16 +91,23 @@ class CoreParams:
         return dict(self.fus)
 
     @property
+    def structure_bits(self) -> Dict[str, int]:
+        """Unprotected bits per ACE structure. Functional units carry 0:
+        the paper leaves them out of the AVF denominator N."""
+        return {
+            "rob": self.rob_size * BIT_BUDGET["rob"],
+            "iq": self.iq_size * BIT_BUDGET["iq"],
+            "lq": self.lq_size * BIT_BUDGET["lq"],
+            "sq": self.sq_size * BIT_BUDGET["sq"],
+            "rf": (self.int_regs * BIT_BUDGET["int_reg"]
+                   + self.fp_regs * BIT_BUDGET["fp_reg"]),
+            "fu": 0,
+        }
+
+    @property
     def total_bits(self) -> int:
         """Total unprotected back-end bits N, used in the AVF denominator."""
-        return (
-            self.rob_size * BIT_BUDGET["rob"]
-            + self.iq_size * BIT_BUDGET["iq"]
-            + self.lq_size * BIT_BUDGET["lq"]
-            + self.sq_size * BIT_BUDGET["sq"]
-            + self.int_regs * BIT_BUDGET["int_reg"]
-            + self.fp_regs * BIT_BUDGET["fp_reg"]
-        )
+        return sum(self.structure_bits.values())
 
 
 @dataclass(frozen=True)

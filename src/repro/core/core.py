@@ -147,7 +147,6 @@ class OutOfOrderCore:
         trace: Trace,
         policy: RunaheadPolicy = OOO,
         seed: int = 0,
-        record_ace_intervals: bool = False,
         observer=None,
         telemetry=None,
         validate: bool = False,
@@ -168,17 +167,19 @@ class OutOfOrderCore:
         ``validate=True`` appends a
         :class:`repro.validate.invariants.InvariantChecker` to the engine
         pipeline (stepped last each cycle) and chains it onto the
-        observer hook. The checker is purely observational and is *not*
-        part of :attr:`components` — it carries no architectural state,
-        so checkpoints stay interchangeable between sanitized and
+        observer hook, and makes the ACE accountant record its intervals
+        for the checker's ``ace-interval``/``ace-capacity`` invariants.
+        The checker is purely observational and is *not* part of
+        :attr:`components` — it carries no architectural state, so
+        checkpoints stay interchangeable between sanitized and
         unsanitized cores. When ``validate`` is false (the default) no
-        checker object exists and the hot path is untouched."""
+        checker object exists, nothing is recorded and the hot path is
+        untouched."""
         self.machine = machine
         self.trace = trace
         self.policy = policy
         p = machine.core
         self.width = p.width
-        self.record_ace_intervals = record_ace_intervals
 
         # Shared hardware structures. These objects are never replaced
         # over the core's lifetime — components cache direct references
@@ -196,7 +197,7 @@ class OutOfOrderCore:
         self.sst = StallingSliceTable(p.sst_size)
         self.prdq = Prdq(p.prdq_size, self.regs)
         self.ace = AceAccountant(self.fus.exec_cycles,
-                                 record_intervals=record_ace_intervals)
+                                 record_intervals=validate)
         self.observer = observer
         self.telemetry = None
         #: commit-stream oracle, set by CommitOracle.attach (wiring, not

@@ -1,43 +1,11 @@
-"""Soft-error reliability methodology (ACE analysis, Section IV-B),
-plus the fault-injection and AVF-timeline extensions."""
+"""Soft-error reliability methodology (ACE analysis, Section IV-B)."""
 
 from repro.reliability.ace import AceAccountant, BlockedWindows
-from repro.reliability.fault_injection import (
-    FaultInjector,
-    InjectionResult,
-    structure_bits,
-)
-from repro.reliability.metrics import (
-    ReliabilityReport,
-    abc_total,
-    avf,
-    fit,
-    mttf_relative,
-    normalized_abc,
-)
-from repro.reliability.protection import (
-    ProtectionPlan,
-    cheapest_plan_for_target,
-    mttf_gain,
-    residual_abc,
-)
-from repro.reliability.timeline import avf_timeline
+from repro.reliability.metrics import mttf_relative, normalized_abc
 
 __all__ = [
     "AceAccountant",
     "BlockedWindows",
-    "FaultInjector",
-    "InjectionResult",
-    "structure_bits",
-    "ReliabilityReport",
-    "abc_total",
-    "avf",
-    "fit",
     "mttf_relative",
     "normalized_abc",
-    "avf_timeline",
-    "ProtectionPlan",
-    "residual_abc",
-    "mttf_gain",
-    "cheapest_plan_for_target",
 ]

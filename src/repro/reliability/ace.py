@@ -107,9 +107,9 @@ class AceAccountant:
     """Accumulates ACE bit-cycles per structure as uops commit.
 
     With ``record_intervals=True`` every charged (structure, start, end,
-    bits) interval is also retained, enabling post-hoc analyses such as
-    Monte-Carlo fault injection (``repro.reliability.fault_injection``)
-    and windowed AVF timelines.
+    bits) interval is also retained, for the invariant sanitizer's
+    ``ace-interval`` and ``ace-capacity`` checks: a core records exactly
+    when it is built with ``validate=True``.
     """
 
     def __init__(self, fu_exec_cycles, record_intervals: bool = False) -> None:

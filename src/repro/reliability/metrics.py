@@ -1,6 +1,6 @@
-"""Reliability metrics: ABC, AVF, FIT, MTTF (Section IV-B).
+"""Reliability metrics relative to a baseline (Section IV-B).
 
-All equations follow the paper:
+The paper's equations:
 
     ABC  = Σ_i ACE_i                      (total ACE bit-cycles)
     AVF  = ABC / (N × T)                  (N = unprotected bits, T = cycles)
@@ -13,27 +13,9 @@ and N cancel:
 
     MTTF_rel = AVF_base / AVF_variant = (ABC_base × T_variant) /
                                         (ABC_variant × T_base)
+
+``SimResult.avf`` computes the absolute AVF of one point.
 """
-
-from dataclasses import dataclass
-from typing import Dict
-
-
-def abc_total(bits: Dict[str, int]) -> int:
-    """Sum the per-structure ACE bit-cycles into a single ABC value."""
-    return sum(bits.values())
-
-
-def avf(abc: float, total_bits: int, cycles: int) -> float:
-    """Architectural Vulnerability Factor in [0, 1]."""
-    if total_bits <= 0 or cycles <= 0:
-        raise ValueError("total_bits and cycles must be positive")
-    return abc / (total_bits * cycles)
-
-
-def fit(avf_value: float, raw_error_rate: float = 1.0) -> float:
-    """Failures-in-time; proportional to AVF (eq. 4)."""
-    return avf_value * raw_error_rate
 
 
 def mttf_relative(abc_base: float, cycles_base: int,
@@ -50,33 +32,3 @@ def normalized_abc(abc_base: float, abc_variant: float) -> float:
         raise ValueError("baseline ABC must be positive")
     return abc_variant / abc_base
 
-
-@dataclass(frozen=True)
-class ReliabilityReport:
-    """Derived reliability numbers for one simulation, vs. a baseline."""
-
-    abc: int
-    cycles: int
-    total_bits: int
-    abc_rel: float
-    mttf_rel: float
-
-    @classmethod
-    def from_runs(cls, base_abc: int, base_cycles: int, abc: int,
-                  cycles: int, total_bits: int) -> "ReliabilityReport":
-        return cls(
-            abc=abc,
-            cycles=cycles,
-            total_bits=total_bits,
-            abc_rel=normalized_abc(base_abc, abc),
-            mttf_rel=mttf_relative(base_abc, base_cycles, abc, cycles),
-        )
-
-    @property
-    def avf(self) -> float:
-        return avf(self.abc, self.total_bits, self.cycles)
-
-    @property
-    def abc_improvement_pct(self) -> float:
-        """Percent ABC reduction vs. baseline (paper's '81.4%' style)."""
-        return (1.0 - self.abc_rel) * 100.0

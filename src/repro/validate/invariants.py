@@ -50,7 +50,9 @@ Invariant catalog (see docs/validation.md for the full rationale):
                    mode.
 ``ace-interval``   every recorded ACE interval is well-formed: known
                    structure, ``end > start``, ``start >= 0``,
-                   ``bits >= 0``.
+                   ``bits >= 0``. A sanitized core's accountant records
+                   every interval it charges, for this check and the
+                   next.
 ``ace-capacity``   per-structure live ACE bits never exceed the
                    structure's physical capacity at any cycle
                    (whole-run sweep in :meth:`final_check`).
@@ -72,7 +74,6 @@ from repro.core.engine import EV_WB, Component
 from repro.core.issue_queue import LOAD_FU_CLASS, NUM_FU_CLASSES
 from repro.memory.hierarchy import LINE_MASK
 from repro.reliability.ace import STRUCTURES
-from repro.reliability.fault_injection import structure_bits
 
 __all__ = ["InvariantChecker", "InvariantViolation"]
 
@@ -136,7 +137,7 @@ class InvariantChecker(Component):
         self.mem = core.mem
         self.backend = core.backend
         self.fe_stage = core.frontend_stage
-        self._struct_bits = structure_bits(core.machine.core)
+        self._struct_bits = core.machine.core.structure_bits
 
     def attach_observer(self) -> None:
         """Chain onto the core's observer hook to watch commit order."""
@@ -262,8 +263,7 @@ class InvariantChecker(Component):
         self._check_fu_scoreboard(cycle)
         self._check_quiescence(cycle)
 
-        ace = self.ace
-        if ace.record_intervals and len(ace.intervals) > self._ace_seen:
+        if len(self.ace.intervals) > self._ace_seen:
             self._check_new_intervals(cycle)
 
     def _check_iq_ready(self, cycle: int,
@@ -479,8 +479,7 @@ class InvariantChecker(Component):
         """Whole-run invariants, called once after the run completes."""
         cycle = self.core.cycle
         self.check_cycle(cycle)
-        if self.ace.record_intervals:
-            self._check_ace_capacity(cycle)
+        self._check_ace_capacity(cycle)
         self._check_formulas(cycle)
 
     def _check_ace_capacity(self, cycle: int) -> None:

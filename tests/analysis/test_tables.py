@@ -1,6 +1,6 @@
-"""Table/series formatting."""
+"""Table formatting."""
 
-from repro.analysis.tables import format_series, format_table
+from repro.analysis.tables import format_table
 
 
 class TestFormatTable:
@@ -24,12 +24,3 @@ class TestFormatTable:
         out = format_table(["a"], [["averyverylongvalue"]])
         assert "averyverylongvalue" in out
 
-
-class TestFormatSeries:
-    def test_floats_formatted(self):
-        s = format_series("MTTF", {"OOO": 1.0, "RAR": 4.821}, precision=2)
-        assert s.startswith("MTTF:")
-        assert "RAR=4.82" in s
-
-    def test_ints_verbatim(self):
-        assert "n=5" in format_series("x", {"n": 5})

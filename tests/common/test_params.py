@@ -115,6 +115,15 @@ class TestTable3BitBudgets:
         assert c.total_bits == expected
 
 
+class TestStructureBits:
+    def test_matches_total(self):
+        bits = BASELINE.core.structure_bits
+        assert sum(bits.values()) == BASELINE.core.total_bits
+        assert bits["rob"] == 192 * 120
+        assert bits["rf"] == 168 * 64 + 168 * 128
+        assert bits["fu"] == 0  # FUs are not in the AVF denominator
+
+
 class TestCacheParams:
     def test_num_sets(self):
         p = CacheParams(size=32 * 1024, assoc=8, latency=4)

@@ -1,35 +1,11 @@
-"""Reliability metric equations (Section IV-B)."""
+"""Baseline-normalised reliability metrics (Section IV-B)."""
 
 import pytest
 
-from repro.reliability.metrics import (
-    ReliabilityReport,
-    abc_total,
-    avf,
-    fit,
-    mttf_relative,
-    normalized_abc,
-)
+from repro.reliability.metrics import mttf_relative, normalized_abc
 
 
 class TestEquations:
-    def test_abc_total(self):
-        assert abc_total({"rob": 10, "iq": 5}) == 15
-
-    def test_avf_bounds(self):
-        assert avf(0, 100, 10) == 0.0
-        assert avf(1000, 100, 10) == 1.0
-        assert avf(500, 100, 10) == 0.5
-
-    def test_avf_validates(self):
-        with pytest.raises(ValueError):
-            avf(1, 0, 10)
-        with pytest.raises(ValueError):
-            avf(1, 10, 0)
-
-    def test_fit_proportional_to_avf(self):
-        assert fit(0.5, raw_error_rate=2.0) == 1.0
-
     def test_mttf_identity_baseline(self):
         assert mttf_relative(100, 10, 100, 10) == 1.0
 
@@ -49,20 +25,3 @@ class TestEquations:
         with pytest.raises(ValueError):
             normalized_abc(0, 50)
 
-
-class TestReliabilityReport:
-    def test_from_runs(self):
-        rep = ReliabilityReport.from_runs(
-            base_abc=1000, base_cycles=100, abc=200, cycles=120,
-            total_bits=10_000)
-        assert rep.abc_rel == 0.2
-        assert rep.abc_improvement_pct == pytest.approx(80.0)
-        assert rep.mttf_rel == pytest.approx((1000 * 120) / (200 * 100))
-        assert rep.avf == pytest.approx(200 / (10_000 * 120))
-
-    def test_paper_style_numbers(self):
-        """RAR-like point: ABC -81.4%, runtime 1/1.335 of baseline."""
-        rep = ReliabilityReport.from_runs(
-            base_abc=1_000_000, base_cycles=1335, abc=186_000, cycles=1000,
-            total_bits=1 << 16)
-        assert 3.5 < rep.mttf_rel < 4.5

@@ -25,8 +25,7 @@ class TestExamples:
     def test_expected_set_present(self):
         for required in ("quickstart.py", "design_space.py",
                          "custom_workload.py", "reliability_report.py",
-                         "scaling_study.py", "fault_injection.py",
-                         "ascii_figures.py", "pipeline_trace.py"):
+                         "scaling_study.py", "pipeline_trace.py"):
             assert required in EXAMPLES
 
     @pytest.mark.parametrize("name", EXAMPLES)

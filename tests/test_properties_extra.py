@@ -1,4 +1,4 @@
-"""Additional property-based tests: trace files, timelines, predictors."""
+"""Additional property-based tests: trace files and predictors."""
 
 import os
 
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.common.enums import UopClass
 from repro.isa.tracefile import load_trace, save_trace
 from repro.isa.uop import NO_ADDR, StaticUop
-from repro.reliability.timeline import avf_timeline
 
 _CLASSES = [int(c) for c in UopClass]
 
@@ -52,40 +51,6 @@ class TestTraceFileProperties:
                         orig.taken, orig.target)
 
 
-@st.composite
-def charge_intervals(draw):
-    n = draw(st.integers(0, 25))
-    out = []
-    for _ in range(n):
-        start = draw(st.integers(0, 400))
-        length = draw(st.integers(1, 200))
-        bits = draw(st.integers(1, 500))
-        out.append(("rob", start, start + length, bits))
-    return out
-
-
-class TestTimelineProperties:
-    @given(charge_intervals(), st.integers(1, 97))
-    @settings(max_examples=100, deadline=None)
-    def test_total_exposure_conserved(self, intervals, window):
-        cycles = 700
-        n = 10_000
-        series = avf_timeline(intervals, n, cycles, window=window)
-        total = sum(avf * n * min(window, cycles - start)
-                    for start, avf in series)
-        expected = sum(
-            b * max(0, min(e, cycles) - max(s, 0))
-            for _, s, e, b in intervals
-        )
-        assert abs(total - expected) < 1e-6 * max(1, expected)
-
-    @given(charge_intervals())
-    @settings(max_examples=50, deadline=None)
-    def test_avf_nonnegative(self, intervals):
-        for _, v in avf_timeline(intervals, 10_000, 500, window=50):
-            assert v >= 0
-
-
 class TestPredictorProperties:
     @given(st.lists(st.tuples(st.integers(0, 63), st.booleans()),
                     min_size=1, max_size=400))
@@ -107,17 +72,3 @@ class TestPredictorProperties:
         p.observe(pc, taken)
         assert isinstance(p.predict(pc), bool)
 
-
-class TestFaultInjectorProperty:
-    @given(charge_intervals(), st.integers(1, 2 ** 31))
-    @settings(max_examples=20, deadline=None)
-    def test_hits_bounded_by_trials(self, intervals, seed):
-        from repro.common.params import BASELINE
-        from repro.reliability.fault_injection import FaultInjector
-        inj = FaultInjector(intervals, BASELINE.core, cycles=700, seed=seed)
-        res = inj.run(300)
-        assert 0 <= res.hits <= res.trials
-        assert sum(res.trials_by_structure.values()) == res.trials
-        assert all(res.hits_by_structure.get(s, 0)
-                   <= res.trials_by_structure.get(s, 0)
-                   for s in res.hits_by_structure)

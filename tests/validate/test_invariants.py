@@ -2,21 +2,19 @@
 
 import pytest
 
-from repro.checkpoint import warm_checkpoint
+from repro.checkpoint import Checkpoint, warm_checkpoint
 from repro.common.params import BASELINE
 from repro.core.core import OutOfOrderCore
-from repro.sim import measure, simulate
+from repro.sim import measure, simulate, warm_core
 from repro.validate import InvariantChecker, InvariantViolation
 from repro.workloads.catalog import get_workload
 
 
-def sanitized_core(workload="mcf", policy="RAR", instructions=1500,
-                   record_ace_intervals=False):
+def sanitized_core(workload="mcf", policy="RAR", instructions=1500):
     """A core run under the sanitizer, returned live for corruption."""
     from repro.core.runahead import get_policy
     spec = get_workload(workload)
     core = OutOfOrderCore(BASELINE, spec.build_trace(), get_policy(policy),
-                          record_ace_intervals=record_ace_intervals,
                           validate=True)
     for level, base, size in spec.resident_regions():
         core.mem.preload(base, size, level)
@@ -32,6 +30,8 @@ class TestCleanRuns:
         # No extra pipeline stage when the sanitizer is off.
         assert all(c.name != "invariant_checker"
                    for c in core.engine._pipeline)
+        # ... and no ACE interval recording on the commit path.
+        assert not core.ace.record_intervals
 
     def test_checker_outside_components(self):
         """The checker must stay out of the checkpoint blob."""
@@ -55,7 +55,7 @@ class TestCleanRuns:
         assert a.to_dict() == b.to_dict()
 
     def test_ace_intervals_checked(self):
-        core = sanitized_core(record_ace_intervals=True)
+        core = sanitized_core()
         core.checker.final_check()
         assert core.checker.summary()["ace_intervals_checked"] > 0
 
@@ -66,6 +66,69 @@ class TestCleanRuns:
         plain = measure(ck.fork("PRE"), 1000, "mcf")
         checked = measure(ck.fork("PRE", validate=True), 1000, "mcf")
         assert plain.to_dict() == checked.to_dict()
+
+
+def recorded_bits(ace):
+    """Per-structure Σ bits × (end - start) over the recorded intervals."""
+    got = dict.fromkeys(ace.bits, 0)
+    for structure, start, end, bits in ace.intervals:
+        got[structure] += bits * (end - start)
+    return got
+
+
+class TestSanitizerRecordsAce:
+    """The accountant records its intervals exactly when the core is
+    sanitized, so ``ace-interval`` and ``ace-capacity`` run on every
+    sanitized path: a cold core, ``simulate`` and a checkpoint fork."""
+
+    def test_simulate_checks_intervals(self, monkeypatch):
+        import repro.sim
+        cores = []
+
+        def spy(core, instructions, name):
+            cores.append(core)
+            return measure(core, instructions, name)
+
+        monkeypatch.setattr(repro.sim, "measure", spy)
+        simulate("mcf", BASELINE, "RAR", instructions=1000, warmup=500,
+                 validate=True)
+        assert cores[0].checker.summary()["ace_intervals_checked"] > 0
+
+    @pytest.mark.parametrize("captured_sanitized", [False, True])
+    def test_fork_checks_intervals(self, captured_sanitized):
+        ck = warm_checkpoint("mcf", BASELINE, "RAR", warmup=500,
+                             validate=captured_sanitized)
+        core = ck.fork(validate=True)
+        assert core.ace.record_intervals
+        assert core.ace.intervals == []
+        assert core.checker._ace_seen == 0
+        measure(core, 1000, "mcf")
+        assert core.checker.summary()["ace_intervals_checked"] > 0
+
+    def test_unsanitized_fork_of_sanitized_checkpoint_records_nothing(self):
+        warmed, name = warm_core("mcf", BASELINE, "RAR", warmup=500,
+                                 validate=True)
+        ck = Checkpoint.capture(warmed, name, 500, None)
+        assert warmed.ace.intervals  # the live core keeps its record
+        core = ck.fork()
+        measure(core, 1000, name)
+        assert not core.ace.record_intervals
+        assert core.ace.intervals == []
+
+    @pytest.mark.parametrize("policy", ["OOO", "FLUSH", "RAR"])
+    def test_cold_intervals_sum_to_ace_bits(self, policy):
+        core = sanitized_core(workload="libquantum", policy=policy,
+                              instructions=2500)
+        assert recorded_bits(core.ace) == core.ace.bits
+
+    @pytest.mark.parametrize("policy", ["OOO", "FLUSH", "RAR"])
+    def test_fork_intervals_sum_to_bits_since_fork(self, policy):
+        ck = warm_checkpoint("mcf", BASELINE, policy, warmup=1000)
+        core = ck.fork(validate=True)
+        at_fork = dict(core.ace.bits)
+        measure(core, 1500, "mcf")
+        assert recorded_bits(core.ace) == {
+            s: b - at_fork[s] for s, b in core.ace.bits.items()}
 
 
 class TestDetection:
@@ -119,21 +182,20 @@ class TestDetection:
             core.run(50)
 
     def test_malformed_ace_interval_detected(self):
-        core = sanitized_core(record_ace_intervals=True, instructions=300)
+        core = sanitized_core(instructions=300)
         core.ace.intervals.append(("rob", 100, 50, 120))  # end < start
         with pytest.raises(InvariantViolation, match="ace-interval"):
             core.checker.check_cycle(core.cycle)
 
     def test_unknown_ace_structure_detected(self):
-        core = sanitized_core(record_ace_intervals=True, instructions=300)
+        core = sanitized_core(instructions=300)
         core.ace.intervals.append(("tlb", 0, 10, 64))
         with pytest.raises(InvariantViolation, match="ace-interval"):
             core.checker.check_cycle(core.cycle)
 
     def test_ace_capacity_overflow_detected(self):
-        from repro.reliability.fault_injection import structure_bits
-        core = sanitized_core(record_ace_intervals=True, instructions=300)
-        cap = structure_bits(BASELINE.core)["iq"]
+        core = sanitized_core(instructions=300)
+        cap = BASELINE.core.structure_bits["iq"]
         core.ace.intervals.append(("iq", 0, 1, cap + 1))
         core.checker._ace_seen = len(core.ace.intervals)  # skip well-formed
         with pytest.raises(InvariantViolation, match="ace-capacity"):
