@@ -17,8 +17,8 @@ Sizing knobs (environment):
     REPRO_BENCH_INSTR   measured instructions per point (default 15000)
     REPRO_BENCH_WARMUP  warmup instructions per point (default 15000)
 
-The on-disk cache ``_cache_i<instr>_w<warmup>.json`` keyed by those
-sizes makes re-runs instantaneous.
+The on-disk cache directory ``_cache_i<instr>_w<warmup>`` keyed by
+those sizes makes re-runs instantaneous.
 """
 
 import os
@@ -50,7 +50,7 @@ def sweep():
     instr, warm = bench_sizes()
     runner = ExperimentRunner(
         instructions=instr, warmup=warm,
-        cache_path=os.path.join(_HERE, f"_cache_i{instr}_w{warm}.json"))
+        cache_dir=os.path.join(_HERE, f"_cache_i{instr}_w{warm}"))
     ledger = os.path.join(_HERE, f"_ledger_i{instr}_w{warm}.jsonl")
     if os.path.exists(ledger):
         os.remove(ledger)

@@ -3,17 +3,18 @@
 Several figures reuse the same (workload, machine, policy) points — e.g.
 Figures 7 and 8 plot reliability and performance of the *same* five runs.
 :class:`ExperimentRunner` caches results in memory and optionally on disk
-(JSON), keyed by the content of the workload and of the machine, so each
-point simulates exactly once per benchmark session.
+(a directory of one JSON file per point), keyed by the content of the
+workload and of the machine, so each point simulates exactly once per
+benchmark session.
 
 :meth:`ExperimentRunner.run_matrix` measures by *sweeping*: each point
 is one task, or each workload's points share one warmed checkpoint in
 one task (``share_warmup=True``), and tasks fan out across the
-crash-tolerant farm scheduler (:mod:`repro.analysis.farm`, ``jobs=N``)
-with the disk cache as the merge point — flushed incrementally and
-idempotently as points land, so a crash mid-sweep preserves every
-completed point. Failing points are isolated and reported on the
-returned :class:`MatrixResult` instead of tearing the sweep down.
+crash-tolerant farm scheduler (:mod:`repro.analysis.farm`, ``jobs=N``).
+Each result is written to its own cache file the moment it lands, so a
+crash mid-sweep preserves every completed point. Failing points are
+isolated and reported on the returned :class:`MatrixResult` instead of
+tearing the sweep down.
 """
 
 import hashlib
@@ -99,10 +100,11 @@ class RunKey:
         return f"{base}|{self.variant}" if self.variant else base
 
 
-#: Bump when SimResult's schema or the key format changes: stale on-disk
-#: payloads would otherwise deserialise with silently-defaulted new
-#: fields, or be served under keys that no longer identify a point.
-_CACHE_SCHEMA = 3
+#: Bump when SimResult's schema, the key format or the entry layout
+#: changes: stale on-disk payloads would otherwise deserialise with
+#: silently-defaulted new fields, or be served under keys that no longer
+#: identify a point.
+_CACHE_SCHEMA = 4
 
 
 def _variant(share_warmup: bool, policy: str, warmup_policy: str,
@@ -122,20 +124,6 @@ def _variant(share_warmup: bool, policy: str, warmup_policy: str,
     if share_warmup and policy != warmup_policy:
         parts.append(f"sw:{warmup_policy}")
     return "+".join(parts)
-
-
-#: Fault-injection hook: when this env var names a ``workload:policy``
-#: pair, that point raises instead of simulating. It fires *inside* the
-#: per-point isolation below, so tests and the CI farm smoke can force a
-#: deterministic ``point_error`` through either execution path.
-CHAOS_RAISE_ENV = "REPRO_FARM_RAISE"
-
-
-def _chaos_maybe_raise(workload: str, policy: str) -> None:
-    if os.environ.get(CHAOS_RAISE_ENV) == f"{workload}:{policy}":
-        raise RuntimeError(
-            f"chaos: injected failure for {workload}:{policy} "
-            f"({CHAOS_RAISE_ENV})")
 
 
 def _point_error(spec, machine, name: str, variant: str,
@@ -254,7 +242,6 @@ def _iter_group_points(task: SweepTask) -> Iterator[Dict[str, Any]]:
             telemetry = Telemetry(interval=1000, profile=True)
         t0 = time.perf_counter()
         try:
-            _chaos_maybe_raise(spec.name, name)
             if checkpoint is not None:
                 core = checkpoint.fork(name, validate=validate,
                                        oracle=oracle)
@@ -343,19 +330,23 @@ class ExperimentRunner:
     Args:
         instructions: measured committed instructions per point.
         warmup: warmup instructions per point.
-        cache_path: optional JSON file for cross-process persistence.
+        cache_dir: optional directory of per-point result files for
+            cross-process persistence; created on the first store. A
+            path that exists and is not a directory raises
+            ``ValueError``.
     """
 
     def __init__(self, instructions: int = DEFAULT_INSTRUCTIONS,
                  warmup: int = DEFAULT_WARMUP,
-                 cache_path: Optional[str] = None):
+                 cache_dir: Optional[str] = None):
+        if cache_dir and os.path.exists(cache_dir) \
+                and not os.path.isdir(cache_dir):
+            raise ValueError(f"result cache {cache_dir} is not a directory")
         self.instructions = instructions
         self.warmup = warmup
-        self.cache_path = cache_path
+        self.cache_dir = cache_dir
         self._cache: Dict[str, SimResult] = {}
         self._cache_write_failed = False
-        if cache_path and os.path.exists(cache_path):
-            self._load_disk_cache()
 
     def run_matrix(
         self,
@@ -408,11 +399,10 @@ class ExperimentRunner:
         reported in the returned :class:`MatrixResult`'s ``failures``
         instead of tearing the sweep down.
 
-        The in-memory/disk cache is the merge point. Disk flushes are
-        incremental — after every point in farm mode, after every task
-        serially — and idempotent (keyed, read-merge-write), so a crash
-        mid-sweep preserves every completed point and a requeued retry
-        merges over its own partial flush harmlessly.
+        Each result is stored the moment it lands, in memory and, with
+        a ``cache_dir``, in that point's own file, so a crash mid-sweep
+        preserves every completed point. A point delivered twice (a
+        farm requeue) rewrites its own file with the same result.
 
         ``ledger`` (a path or :class:`~repro.obs.ledger.RunLedger`)
         records the sweep's life cycle as an append-only JSONL event
@@ -478,7 +468,7 @@ class ExperimentRunner:
                 variant = _variant(share_warmup, pol.name, wp.name,
                                    warmup_mode)
                 key = point_key(spec.name, pol.name, variant)
-                cached = self._cache.get(key)
+                cached = self._cached(key)
                 if cached is not None:
                     out.setdefault(pol.name, {})[spec.name] = cached
                     n_cached += 1
@@ -519,7 +509,7 @@ class ExperimentRunner:
         n_run = 0
 
         def _absorb(outcome: Dict[str, Any]) -> None:
-            """Merge one streamed point outcome (idempotent per key)."""
+            """Store one streamed point outcome (idempotent per key)."""
             nonlocal n_run
             if "payload" in outcome:
                 result = SimResult.from_dict(outcome["payload"])
@@ -528,7 +518,7 @@ class ExperimentRunner:
                 if key not in seen_keys:
                     seen_keys.add(key)
                     n_run += 1
-                self._cache[key] = result
+                self._store(key, result)
                 out.setdefault(result.policy, {})[result.workload] = result
                 if "commit_digest" in outcome:
                     out.commit_digests[(result.policy, result.workload)] = \
@@ -546,24 +536,14 @@ class ExperimentRunner:
 
         if jobs > 1 and len(tasks) > 1:
             from repro.analysis.farm import FarmScheduler
-
-            def _on_point(outcome: Dict[str, Any]) -> None:
-                _absorb(outcome)
-                if self.cache_path and "payload" in outcome:
-                    self._save_disk_cache()
-
             with FarmScheduler(min(jobs, len(tasks)),
                                ledger=ledger) as farm:
-                farm.run(tasks, on_point=_on_point)
+                farm.run(tasks, on_point=_absorb)
         else:
             for task in tasks:
                 for outcome in _iter_group_points(task):
                     _absorb(outcome)
-                if self.cache_path:
-                    self._save_disk_cache()
 
-        if self.cache_path:
-            self._save_disk_cache()
         if ledger is not None:
             elapsed = time.perf_counter() - t_start
             ledger.sweep_done(elapsed_s=elapsed, points_run=n_run,
@@ -603,81 +583,65 @@ class ExperimentRunner:
 
     # ---------------------------------------------------------- disk cache
 
-    def _read_disk_payloads(self) -> Dict[str, Any]:
-        """The on-disk cache's raw ``key -> payload`` map (or empty).
+    def _entry_path(self, key: str) -> str:
+        name = hashlib.sha256(key.encode()).hexdigest()[:24]
+        return os.path.join(self.cache_dir, f"{name}.json")
 
-        A file that cannot be read or parsed, or that carries another
-        schema, is renamed aside to ``<path>.bad-<n>`` before anything
-        else is written: the read-merge-write in :meth:`_save_disk_cache`
-        would otherwise replace it, losing every entry it held.
+    def _cached(self, key: str) -> Optional[SimResult]:
+        """The result stored under ``key``: in memory, else in its file.
+
+        An entry that cannot be read or parsed, that carries another
+        schema or another key, or whose result has the wrong shape is
+        renamed aside to the first free ``<entry>.bad-<n>`` (never
+        overwritten) with a warning naming both files, and the point is
+        recomputed; other entries are still served.
         """
+        result = self._cache.get(key)
+        if result is not None or not self.cache_dir:
+            return result
+        path = self._entry_path(key)
         try:
-            with open(self.cache_path) as f:
+            with open(path) as f:
                 raw = json.load(f)
+            if not isinstance(raw, dict) or raw.get("schema") != _CACHE_SCHEMA:
+                raise ValueError(f"not a schema-{_CACHE_SCHEMA} entry")
+            if raw.get("key") != key:
+                raise ValueError(f"holds key {raw.get('key')!r}")
+            result = SimResult.from_dict(raw.get("result"))
         except FileNotFoundError:
-            return {}
-        except (OSError, ValueError) as e:
-            self._set_aside_bad_cache(f"unreadable ({e})")
-            return {}
-        if not isinstance(raw, dict) or raw.get("schema") != _CACHE_SCHEMA:
-            self._set_aside_bad_cache(
-                f"not a result cache of schema {_CACHE_SCHEMA}")
-            return {}
-        data = raw.get("data", {})
-        if not isinstance(data, dict):
-            self._set_aside_bad_cache("without a key -> result map")
-            return {}
-        return data
+            return None
+        except (OSError, TypeError, ValueError) as e:
+            self._set_aside(path, key, e)
+            return None
+        self._cache[key] = result
+        return result
 
-    def _set_aside_bad_cache(self, why: str) -> None:
-        """Rename the cache file to the first free ``<path>.bad-<n>``."""
-        path = self.cache_path
+    def _set_aside(self, path: str, key: str, error: Exception) -> None:
         n = 0
         while os.path.exists(f"{path}.bad-{n}"):
             n += 1
         bad = f"{path}.bad-{n}"
         try:
             os.rename(path, bad)
-            outcome = f"moved it to {bad} and started an empty cache"
+            outcome = f"moved it to {bad}"
         except OSError as e:
             outcome = f"could not move it to {bad}: {e}"
-        _log.warning(f"result cache {path} is {why}; {outcome}",
-                     extra={"data": {"path": path, "bad_path": bad}})
+        _log.warning(f"result cache entry {path} for {key} is unusable "
+                     f"({error}); {outcome} and recomputing the point",
+                     extra={"data": {"path": path, "bad_path": bad,
+                                     "key": key, "reason": str(error)}})
 
-    def _load_disk_cache(self) -> None:
-        for key, payload in self._read_disk_payloads().items():
-            try:
-                self._cache[key] = SimResult.from_dict(payload)
-            except TypeError as e:
-                _log.warning(
-                    f"result cache {self.cache_path}: entry {key} is "
-                    f"unusable ({e}); recomputing it",
-                    extra={"data": {"path": self.cache_path, "key": key,
-                                    "reason": str(e)}})
-
-    def _save_disk_cache(self) -> None:
-        """Merge this runner's results into the disk cache, atomically.
-
-        Read-merge-write: the current file's entries are re-read and
-        this runner's overlaid per key, so incremental flushes mid-sweep
-        and several runners sharing one cache path union their points
-        instead of clobbering whole files. Re-flushing after a retried
-        point rewrites the same key with the same payload — idempotent
-        by construction, which is what lets the farm requeue work
-        without double-merge hazards.
-        """
+    def _store(self, key: str, result: SimResult) -> None:
+        """Keep ``result`` in memory and write it to its own file."""
+        self._cache[key] = result
+        if not self.cache_dir:
+            return
         from repro.obs.manifest import host_manifest
-        merged = self._read_disk_payloads()
-        merged.update({k: v.to_dict() for k, v in self._cache.items()})
-        payload = {
-            "schema": _CACHE_SCHEMA,
-            # Provenance of the *last writer*: cached results are only
-            # auditable if the cache records what produced them.
-            "manifest": host_manifest(),
-            "data": merged,
-        }
+        payload = {"schema": _CACHE_SCHEMA, "key": key,
+                   "manifest": host_manifest(), "result": result.to_dict()}
         try:
-            atomic_write_json(self.cache_path, payload)
+            os.makedirs(self.cache_dir, exist_ok=True)
+            atomic_write_json(self._entry_path(key), payload)
         except OSError as e:
             # The cache is an optimisation, never a failure: the sweep
             # still returns its results, and says once per sweep that
@@ -685,8 +649,7 @@ class ExperimentRunner:
             if not self._cache_write_failed:
                 self._cache_write_failed = True
                 _log.warning(
-                    f"result cache {self.cache_path} could not be "
+                    f"result cache {self.cache_dir} could not be "
                     f"written ({e}); this sweep's results are not saved",
-                    extra={"data": {"path": self.cache_path,
+                    extra={"data": {"path": self.cache_dir,
                                     "reason": str(e)}})
-

@@ -19,31 +19,17 @@ process-local :class:`~repro.checkpoint.CheckpointCache` entries.
 
 Delivery semantics are *at least once*: a worker killed in the instant
 between finishing a point and the scheduler draining its pipe re-runs
-that point, and the idempotent keyed cache merge absorbs the duplicate.
-Results are bit-identical to the serial path — each point runs the very
-same :func:`~repro.analysis.experiments._iter_group_points` code
-whichever process executes it, which is what keeps the golden
-fingerprints (measured through ``run_matrix``) scheduling-independent.
-
-Fault injection for tests and the CI farm-smoke job (all opt-in via
-environment variables, inert otherwise):
-
-- ``REPRO_FARM_CRASH_TOKEN=<file>``: the first worker about to run a
-  point while ``<file>`` exists unlinks it and SIGKILLs itself — one
-  injected crash per token file.
-- ``REPRO_FARM_POISON=<workload>:<policy>``: every worker about to run
-  that point SIGKILLs itself — a poison point that must end in
-  quarantine.
-- ``REPRO_FARM_RAISE=<workload>:<policy>`` (honoured inside the group
-  runner, so it also works serially): the point raises and is isolated
-  as a ``point_error``.
+that point, and the re-delivered point rewrites its own cache entry
+with the same result. Results are bit-identical to the serial path —
+each point runs the very same
+:func:`~repro.analysis.experiments._iter_group_points` code whichever
+process executes it, which is what keeps the golden fingerprints
+(measured through ``run_matrix``) scheduling-independent.
 """
 
-import os
-import signal
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -52,17 +38,11 @@ from repro.analysis.experiments import SweepTask
 from repro.obs import log as obs_log
 
 __all__ = [
-    "CRASH_TOKEN_ENV",
-    "POISON_ENV",
     "MAX_RETRIES",
-    "FarmReport",
     "FarmScheduler",
 ]
 
 _log = obs_log.get_logger("farm")
-
-CRASH_TOKEN_ENV = "REPRO_FARM_CRASH_TOKEN"
-POISON_ENV = "REPRO_FARM_POISON"
 
 #: extra attempts a task gets after its worker died before the first
 #: undelivered point is declared poison and quarantined
@@ -83,22 +63,6 @@ def _pool_context():
         return mp.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return mp.get_context()
-
-
-def _chaos_maybe_kill(workload: str, policy: str) -> None:
-    """Opt-in crash injection, checked before each point (see module
-    docstring). SIGKILL gives the scheduler a real dead worker — no
-    atexit handlers, no cleanup — exactly like the OOM killer would."""
-    token = os.environ.get(CRASH_TOKEN_ENV)
-    if token:
-        try:
-            os.unlink(token)
-        except OSError:
-            pass  # already consumed by a sibling worker
-        else:
-            os.kill(os.getpid(), signal.SIGKILL)
-    if os.environ.get(POISON_ENV) == f"{workload}:{policy}":
-        os.kill(os.getpid(), signal.SIGKILL)
 
 
 @dataclass
@@ -131,10 +95,8 @@ def _worker_main(conn, log_queue) -> None:
             if task is None:
                 break
             try:
-                points = _exp._iter_group_points(task.sweep)
-                for policy in task.sweep.policies:
-                    _chaos_maybe_kill(task.sweep.spec.name, policy)
-                    conn.send(("point", task.task_id, next(points)))
+                for outcome in _exp._iter_group_points(task.sweep):
+                    conn.send(("point", task.task_id, outcome))
                 conn.send(("group_done", task.task_id))
             except Exception as e:  # scheduler-level fault, not a point's
                 conn.send(("group_error", task.task_id, repr(e),
@@ -146,18 +108,6 @@ def _worker_main(conn, log_queue) -> None:
 
 
 # ------------------------------------------------------------ scheduler
-
-@dataclass
-class FarmReport:
-    """What one :meth:`FarmScheduler.run` call did."""
-
-    points: int = 0              # outcomes delivered (incl. errors)
-    errors: int = 0              # isolated point_error outcomes
-    worker_deaths: int = 0
-    requeued: int = 0            # point attempts put back on the queue
-    quarantined: List[str] = field(default_factory=list)
-    group_errors: int = 0
-
 
 class _Worker:
     __slots__ = ("proc", "conn", "task")
@@ -261,8 +211,7 @@ class FarmScheduler:
     # ------------------------------------------------------------- run
 
     def run(self, tasks: List[SweepTask],
-            on_point: Optional[Callable[[Dict[str, Any]], None]] = None,
-            ) -> FarmReport:
+            on_point: Callable[[Dict[str, Any]], None]) -> None:
         """Execute sweep tasks, streaming outcomes to ``on_point``.
 
         ``tasks`` are the :class:`~repro.analysis.experiments.SweepTask`
@@ -272,7 +221,6 @@ class FarmScheduler:
         completion order.
         """
         self.start()
-        report = FarmReport()
         pending = deque(self._wrap(t) for t in tasks)
         delivered: Dict[int, set] = {}
 
@@ -291,7 +239,7 @@ class FarmScheduler:
                         w.conn.send(task)
                     except (OSError, BrokenPipeError, ValueError):
                         self._on_worker_death(w, pending, delivered,
-                                              report, on_point)
+                                              on_point)
             busy = {w.conn: w for w in self._workers
                     if w.task is not None}
             if not busy:
@@ -301,51 +249,40 @@ class FarmScheduler:
                 try:
                     while True:
                         self._on_message(w, w.conn.recv(), delivered,
-                                         report, on_point)
+                                         on_point)
                         if w.task is None or not w.conn.poll():
                             break
                 except (EOFError, OSError):
                     self._on_worker_death(w, pending, delivered,
-                                          report, on_point)
-        return report
+                                          on_point)
 
     def _wrap(self, sweep: SweepTask, attempts: int = 0) -> GroupTask:
         self._next_task_id += 1
         return GroupTask(task_id=self._next_task_id, sweep=sweep,
                          attempts=attempts)
 
-    def _on_message(self, w: _Worker, msg: Tuple, delivered, report,
+    def _on_message(self, w: _Worker, msg: Tuple, delivered,
                     on_point) -> None:
         kind, task_id = msg[0], msg[1]
         if kind == "point":
             outcome = msg[2]
             delivered.setdefault(task_id, set()).add(outcome["policy"])
-            report.points += 1
-            if "payload" not in outcome:
-                report.errors += 1
-            if on_point is not None:
-                on_point(outcome)
+            on_point(outcome)
         elif kind == "group_done":
             w.task = None
         elif kind == "group_error":
             # The group runner itself raised (it isolates per-point
             # failures, so this is a scheduler-layer fault). Determinist
             # -ic — fail the undelivered points rather than retry.
-            report.group_errors += 1
             task, error, tb = w.task, msg[2], msg[3]
             w.task = None
             if task is None:
                 return
             for policy in task.sweep.policies:
-                if policy in delivered.get(task_id, set()):
-                    continue
-                report.points += 1
-                report.errors += 1
-                if on_point is not None:
-                    on_point(_failure_outcome(task.sweep, policy, error,
-                                              tb))
+                if policy not in delivered.get(task_id, set()):
+                    on_point(_failure_outcome(task.sweep, policy, error, tb))
 
-    def _on_worker_death(self, w: _Worker, pending, delivered, report,
+    def _on_worker_death(self, w: _Worker, pending, delivered,
                          on_point) -> None:
         task = w.task
         w.task = None
@@ -353,7 +290,6 @@ class FarmScheduler:
         w.proc.join(timeout=0.5)
         w.conn.close()
         self._workers.remove(w)
-        report.worker_deaths += 1
         sweep = task.sweep if task is not None else None
         label = (f"{sweep.spec.name}/{sweep.machine.name}"
                  if sweep is not None else "idle")
@@ -373,12 +309,11 @@ class FarmScheduler:
         attempts = task.attempts + 1
         if attempts > MAX_RETRIES:
             poison, rest = residual[0], residual[1:]
-            self._quarantine(sweep, poison, attempts, report, on_point)
+            self._quarantine(sweep, poison, attempts, on_point)
             residual, attempts = rest, 0  # poison removed: fresh budget
         if residual:
             pending.appendleft(self._wrap(sweep._replace(policies=residual),
                                           attempts))
-            report.requeued += len(residual)
             if self.ledger is not None:
                 for policy in residual:
                     self.ledger.point_requeued(
@@ -387,11 +322,10 @@ class FarmScheduler:
                         attempt=attempts)
 
     def _quarantine(self, sweep: SweepTask, policy: str, attempts: int,
-                    report, on_point) -> None:
+                    on_point) -> None:
         error = (f"quarantined: point killed its worker "
                  f"{attempts} time(s) (max_retries={MAX_RETRIES})")
         label = f"{sweep.spec.name}/{sweep.machine.name}/{policy}"
-        report.quarantined.append(label)
         _log.error("point quarantined", extra={"data": {
             "point": label, "attempts": attempts}})
         if self.ledger is not None:
@@ -399,12 +333,9 @@ class FarmScheduler:
                 workload=sweep.spec.name, machine=sweep.machine.name,
                 policy=policy, variant=sweep.variant(policy),
                 error=error, attempts=attempts)
-        report.points += 1
-        report.errors += 1
-        if on_point is not None:
-            outcome = _failure_outcome(sweep, policy, error, "")
-            outcome["quarantined"] = True
-            on_point(outcome)
+        outcome = _failure_outcome(sweep, policy, error, "")
+        outcome["quarantined"] = True
+        on_point(outcome)
 
 
 def _failure_outcome(sweep: SweepTask, policy: str, error: str,

@@ -243,8 +243,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     policies = args.policies or [p.name for p in ALL_POLICIES]
     wl_names = [get_workload(w).name for w in workloads]
     pol_names = [get_policy(p).name for p in policies]
-    runner = ExperimentRunner(instructions=args.instructions,
-                              warmup=args.warmup, cache_path=args.cache)
+    try:
+        runner = ExperimentRunner(instructions=args.instructions,
+                                  warmup=args.warmup, cache_dir=args.cache)
+    except ValueError as e:
+        print(f"sweep failed: {e}", file=sys.stderr)
+        return 2
     t0 = time.perf_counter()
     results = []  # machine x policy x workload order; failed points absent
     failures: List[Dict] = []
@@ -606,8 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "under a separate 'sw:' variant key)")
     p.add_argument("--warmup-policy", default="OOO", metavar="NAME",
                    help="policy the shared warmup runs under (default OOO)")
-    p.add_argument("--cache", metavar="FILE",
-                   help="JSON result cache (read + atomically updated)")
+    p.add_argument("--cache", metavar="DIR",
+                   help="result cache directory, one JSON file per point")
     p.add_argument("--out", metavar="FILE",
                    help="write all point results as one JSON file")
     p.add_argument("--stats-dir", metavar="DIR",
@@ -626,6 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_size_args(p)
     _add_warmup_mode_arg(p)
 
+    from repro.validate.golden import GOLDEN_DIR
     p = sub.add_parser(
         "golden", help="golden conformance fingerprints (45-point grid)")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -633,9 +638,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="re-measure and diff against the frozen file")
     mode.add_argument("--regen", action="store_true",
                       help="refreeze the fingerprints (review the diff!)")
-    p.add_argument("--dir", default="tests/golden", metavar="DIR",
+    p.add_argument("--dir", default=GOLDEN_DIR, metavar="DIR",
                    help="directory of the frozen golden.json "
-                        "(default tests/golden)")
+                        "(default: the repo's tests/golden)")
     p.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
                    help="farm worker processes, one point per task "
                         "(default 1)")

@@ -82,13 +82,14 @@ GOLDEN_ROWS: Dict[str, Tuple[str, MachineParams, int, int]] = {
     "ph-burst-mpki": ("ph-burst-mpki", BASELINE, 3000, 3000),
 }
 GOLDEN_POLICIES: Tuple[str, ...] = ("OOO", "FLUSH", "TR", "PRE", "RAR")
-GOLDEN_DIR = os.path.join("tests", "golden")
 GOLDEN_FILE = "golden.json"
 
-#: Raw importer inputs for the ``fixture:<fmt>`` workloads, anchored at
-#: the repo root so the check runs from any cwd.
+#: The frozen file and the raw importer inputs for the ``fixture:<fmt>``
+#: workloads are anchored at the repo root, so the check runs from any
+#: cwd.
 _REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..", ".."))
+GOLDEN_DIR = os.path.join(_REPO_ROOT, "tests", "golden")
 FIXTURE_DIR = os.path.join(_REPO_ROOT, "tests", "isa", "fixtures")
 _FIXTURE_FILES = {"champsim": "champsim_small.txt",
                   "gem5": "gem5_small.txt"}

@@ -3,23 +3,50 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
 
 import pytest
 
+import repro.analysis.experiments as exp
 from repro.analysis.experiments import ExperimentRunner, RunKey, \
     workload_digest
 from repro.common.params import BASELINE
 from repro.core.runahead import OOO
 from repro.workloads.catalog import get_workload
+from tests.analysis.point_faults import raise_at
 
 
 def _x264(runner, policy=OOO):
     """The one x264 point on BASELINE, measured through ``run_matrix``."""
     (by_workload,) = runner.run_matrix(["x264"], BASELINE, [policy]).values()
     return by_workload["x264"]
+
+
+def _entries(cache):
+    """A cache directory's entry files, keyed by the key each holds."""
+    out = {}
+    for name in sorted(os.listdir(cache)):
+        if name.endswith(".json"):
+            path = os.path.join(cache, name)
+            with open(path) as f:
+                out[json.load(f)["key"]] = path
+    return out
+
+
+def _count_measures(monkeypatch):
+    """Count the points measured from here on (cache hits are not)."""
+    calls = []
+    real = exp.measure
+
+    def measure(core, instructions, name):
+        calls.append((name, core.policy.name))
+        return real(core, instructions, name)
+
+    monkeypatch.setattr(exp, "measure", measure)
+    return calls
 
 
 class TestRunKey:
@@ -70,73 +97,93 @@ class TestRunnerCache:
         assert set(out) == {"OOO", "RAR"}
         assert set(out["OOO"]) == {"x264"}
 
-    def test_disk_cache_roundtrip(self, tmp_path):
-        path = os.path.join(str(tmp_path), "cache.json")
-        r1 = ExperimentRunner(instructions=600, warmup=200, cache_path=path)
+    def test_disk_cache_roundtrip(self, tmp_path, monkeypatch):
+        cache = os.path.join(str(tmp_path), "cache")
+        r1 = ExperimentRunner(instructions=600, warmup=200, cache_dir=cache)
         first = _x264(r1)
-        assert os.path.exists(path)
+        ((key, path),) = _entries(cache).items()
+        with open(path) as f:
+            raw = json.load(f)
+        assert raw["schema"] == 4 and raw["key"] == key
+        assert raw["manifest"]["pid"] == os.getpid()  # its own manifest
+        assert raw["result"] == first.to_dict()
 
-        r2 = ExperimentRunner(instructions=600, warmup=200, cache_path=path)
-        second = _x264(r2)
-        assert second.ipc == first.ipc
-        assert second.abc_total == first.abc_total
+        calls = _count_measures(monkeypatch)
+        r2 = ExperimentRunner(instructions=600, warmup=200, cache_dir=cache)
+        assert _x264(r2) == first
+        assert calls == []  # served from the entry file
 
     def test_corrupt_disk_cache_ignored(self, tmp_path):
-        path = os.path.join(str(tmp_path), "cache.json")
+        cache = os.path.join(str(tmp_path), "cache")
+        first = _x264(ExperimentRunner(600, 200, cache_dir=cache))
+        (path,) = _entries(cache).values()
         with open(path, "w") as f:
             f.write("{not json")
-        r = ExperimentRunner(instructions=600, warmup=200, cache_path=path)
-        assert _x264(r).instructions > 0
+        r = ExperimentRunner(instructions=600, warmup=200, cache_dir=cache)
+        assert _x264(r) == first
 
-    def test_bad_disk_cache_set_aside_not_overwritten(self, tmp_path, caplog):
-        """An unreadable or foreign-schema cache is renamed to the first
-        free ``<path>.bad-<n>`` with its bytes intact, and the warning
-        names both files; the run then writes a fresh cache."""
-        path = os.path.join(str(tmp_path), "cache.json")
+    def test_bad_disk_cache_set_aside_not_overwritten(self, tmp_path, caplog,
+                                                      monkeypatch):
+        """An unreadable entry, a foreign-schema entry and an entry that
+        holds another key are each renamed to their own first free
+        ``<entry>.bad-<n>`` with their bytes intact, the warning names
+        both files, and only those points are recomputed: the sibling
+        entry is still served."""
+        cache = os.path.join(str(tmp_path), "cache")
+        pols = ["OOO", "RAR", "PRE", "FLUSH"]
+        first = ExperimentRunner(600, 200, cache_dir=cache).run_matrix(
+            ["x264"], BASELINE, pols)
+        entry = {k.split("|")[2]: p for k, p in _entries(cache).items()}
         corrupt = b"{not json"
         foreign = json.dumps({"schema": -1, "data": {"k": 1}}).encode()
-        with open(path, "wb") as f:
-            f.write(corrupt)
-        with open(path + ".bad-0", "wb") as f:
+        with open(entry["FLUSH"], "rb") as f:
+            other_key = f.read()
+        with open(entry["OOO"] + ".bad-0", "wb") as f:
             f.write(b"an earlier casualty")
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            r = ExperimentRunner(instructions=600, warmup=200,
-                                 cache_path=path)
-            _x264(r)
-        with open(path + ".bad-0", "rb") as f:
-            assert f.read() == b"an earlier casualty"
-        with open(path + ".bad-1", "rb") as f:
-            assert f.read() == corrupt
-        assert any(path in m and path + ".bad-1" in m
-                   for m in caplog.messages)
-        with open(path) as f:
-            assert len(json.load(f)["data"]) == 1
+        for policy, data in (("OOO", corrupt), ("RAR", foreign),
+                             ("PRE", other_key)):
+            with open(entry[policy], "wb") as f:
+                f.write(data)
 
-        with open(path, "wb") as f:
-            f.write(foreign)
-        r = ExperimentRunner(instructions=600, warmup=200, cache_path=path)
-        _x264(r)
-        with open(path + ".bad-2", "rb") as f:
-            assert f.read() == foreign
+        calls = _count_measures(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            second = ExperimentRunner(600, 200, cache_dir=cache).run_matrix(
+                ["x264"], BASELINE, pols)
+        assert sorted(p for _, p in calls) == ["OOO", "PRE", "RAR"]
+        for p in pols:
+            assert second[p]["x264"] == first[p]["x264"]
+        with open(entry["OOO"] + ".bad-0", "rb") as f:
+            assert f.read() == b"an earlier casualty"
+        for policy, data, bad in (("OOO", corrupt, ".bad-1"),
+                                  ("RAR", foreign, ".bad-0"),
+                                  ("PRE", other_key, ".bad-0")):
+            with open(entry[policy] + bad, "rb") as f:
+                assert f.read() == data
+            assert any(entry[policy] in m and entry[policy] + bad in m
+                       for m in caplog.messages)
+        assert not os.path.exists(entry["FLUSH"] + ".bad-0")
+        # each recomputed point is back in its own entry
+        assert sorted(_entries(cache).values()) == sorted(entry.values())
 
     def test_wrong_type_entry_recomputed_with_warning(self, tmp_path,
                                                       caplog):
         """An entry whose fields have the wrong types is not served: the
-        warning names the cache, the key and the field, and the point is
-        recomputed bit-identically."""
-        path = os.path.join(str(tmp_path), "cache.json")
-        r1 = ExperimentRunner(instructions=600, warmup=200, cache_path=path)
+        warning names the entry, the key and the field, and the point is
+        recomputed bit-identically into a fresh entry."""
+        cache = os.path.join(str(tmp_path), "cache")
+        r1 = ExperimentRunner(instructions=600, warmup=200, cache_dir=cache)
         first = r1.run_matrix(["x264"], BASELINE, ["OOO", "RAR"])
+        key, path = next((k, p) for k, p in _entries(cache).items()
+                         if "|OOO|" in k)
         with open(path) as f:
             raw = json.load(f)
-        key = next(k for k in raw["data"] if "|OOO|" in k)
-        raw["data"][key]["cycles"] = "oops"
-        raw["data"][key]["abc"] = [1, 2]
+        raw["result"]["cycles"] = "oops"
+        raw["result"]["abc"] = [1, 2]
         with open(path, "w") as f:
             json.dump(raw, f)
         with caplog.at_level(logging.WARNING, logger="repro"):
             r2 = ExperimentRunner(instructions=600, warmup=200,
-                                  cache_path=path)
+                                  cache_dir=cache)
             second = r2.run_matrix(["x264"], BASELINE, ["OOO", "RAR"])
         assert second["OOO"]["x264"] == first["OOO"]["x264"]
         assert second["RAR"]["x264"] == first["RAR"]["x264"]
@@ -144,29 +191,59 @@ class TestRunnerCache:
         assert len(warned) == 1
         assert path in warned[0] and "'cycles'" in warned[0]
         with open(path) as f:
-            assert json.load(f)["data"][key] == first["OOO"]["x264"].to_dict()
+            assert json.load(f)["result"] == first["OOO"]["x264"].to_dict()
 
     def test_cache_write_failure_warns_once_per_sweep(self, tmp_path,
                                                       caplog, monkeypatch):
         """A cache that cannot be written does not fail the sweep; one
-        warning per ``run_matrix`` call names the path and the error."""
-        from repro.analysis import experiments
-
+        warning per ``run_matrix`` call names the cache and the error."""
         def refuse(path, payload, indent=None):
             raise PermissionError(13, "Permission denied", path)
 
-        monkeypatch.setattr(experiments, "atomic_write_json", refuse)
-        path = os.path.join(str(tmp_path), "cache.json")
-        r = ExperimentRunner(instructions=600, warmup=200, cache_path=path)
+        monkeypatch.setattr(exp, "atomic_write_json", refuse)
+        cache = os.path.join(str(tmp_path), "cache")
+        r = ExperimentRunner(instructions=600, warmup=200, cache_dir=cache)
         for policies in (["OOO", "RAR"], ["PRE", "FLUSH"]):
             with caplog.at_level(logging.WARNING, logger="repro"):
                 out = r.run_matrix(["x264"], BASELINE, policies)
             assert set(out) == set(policies) and out.ok
-            (warned,) = [m for m in caplog.messages if path in m]
+            (warned,) = [m for m in caplog.messages if cache in m]
             assert "could not be written" in warned
             assert "Permission denied" in warned
             caplog.clear()
-        assert not os.path.exists(path)
+        assert os.listdir(cache) == []
+
+    def test_non_directory_cache_rejected(self, tmp_path):
+        """A path that is not a directory (a single-file cache of an
+        older layout) is named in the error and left untouched."""
+        path = os.path.join(str(tmp_path), "cache.json")
+        with open(path, "w") as f:
+            f.write('{"schema": 3, "data": {}}')
+        with pytest.raises(ValueError, match=re.escape(path)):
+            ExperimentRunner(instructions=600, warmup=200, cache_dir=path)
+        with open(path) as f:
+            assert f.read() == '{"schema": 3, "data": {}}'
+
+    def test_one_write_per_point(self, tmp_path, monkeypatch):
+        """A farm sweep of four points writes four files, each holding
+        one point's result: no store rewrites what is already saved."""
+        writes = []
+        real = exp.atomic_write_json
+
+        def record(path, payload, indent=None):
+            writes.append((path, payload))
+            real(path, payload, indent)
+
+        monkeypatch.setattr(exp, "atomic_write_json", record)
+        cache = os.path.join(str(tmp_path), "cache")
+        out = ExperimentRunner(800, 300, cache_dir=cache).run_matrix(
+            ["mcf", "x264"], BASELINE, ["OOO", "RAR"], jobs=2)
+        assert out.ok
+        assert len(writes) == 4
+        assert len({path for path, _ in writes}) == 4
+        for _, payload in writes:
+            w, _, p = payload["key"].split("|")[:3]
+            assert payload["result"] == out[p][w.split("@")[0]].to_dict()
 
     def test_default_warmup_matches_simulate(self):
         from repro.common.params import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
@@ -208,16 +285,19 @@ class TestParallelMatrix:
                         warmup=300)
         assert out["OOO"]["x264"] == cold
 
-    def test_matrix_merges_into_disk_cache(self, tmp_path):
-        import json
-        path = os.path.join(str(tmp_path), "cache.json")
-        r1 = ExperimentRunner(instructions=800, warmup=300, cache_path=path)
+    def test_matrix_merges_into_disk_cache(self, tmp_path, monkeypatch):
+        cache = os.path.join(str(tmp_path), "cache")
+        r1 = ExperimentRunner(instructions=800, warmup=300, cache_dir=cache)
         a = r1.run_matrix(self.WLS, BASELINE, self.POLS, jobs=2)
-        raw = json.load(open(path))
-        assert raw["schema"] == 3
-        assert len(raw["data"]) == len(self.WLS) * len(self.POLS)
-        r2 = ExperimentRunner(instructions=800, warmup=300, cache_path=path)
+        entries = _entries(cache)
+        assert len(entries) == len(self.WLS) * len(self.POLS)
+        for path in entries.values():
+            with open(path) as f:
+                assert json.load(f)["schema"] == 4
+        calls = _count_measures(monkeypatch)
+        r2 = ExperimentRunner(instructions=800, warmup=300, cache_dir=cache)
         b = r2.run_matrix(self.WLS, BASELINE, self.POLS)
+        assert calls == []
         for p in self.POLS:
             for w in self.WLS:
                 assert a[p][w] == b[p][w]
@@ -227,14 +307,14 @@ class TestFaultIsolation:
     """One failing point no longer discards its siblings' work."""
 
     def test_raising_point_is_isolated_serially(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FARM_RAISE", "mcf:RAR")
+        message = raise_at(monkeypatch, "mcf", "RAR")
         r = ExperimentRunner(instructions=800, warmup=300)
         out = r.run_matrix(["mcf", "x264"], BASELINE, ["OOO", "RAR"])
         assert not out.ok
         assert len(out.failures) == 1
         f = out.failures[0]
         assert (f["workload"], f["policy"]) == ("mcf", "RAR")
-        assert "chaos" in f["error"]
+        assert message in f["error"]
         assert "RuntimeError" in f["traceback"]
         assert f["quarantined"] is False
         # the raising point's group-siblings and sibling groups survived
@@ -242,8 +322,7 @@ class TestFaultIsolation:
         assert sorted(out["RAR"]) == ["x264"]
 
     def test_raise_if_failed_restores_loud_behaviour(self, monkeypatch):
-        import pytest
-        monkeypatch.setenv("REPRO_FARM_RAISE", "mcf:RAR")
+        raise_at(monkeypatch, "mcf", "RAR")
         r = ExperimentRunner(instructions=800, warmup=300)
         out = r.run_matrix(["mcf"], BASELINE, ["OOO", "RAR"])
         with pytest.raises(RuntimeError, match="mcf/RAR"):
@@ -255,7 +334,7 @@ class TestFaultIsolation:
 
     def test_failed_points_recorded_in_ledger(self, tmp_path, monkeypatch):
         from repro.obs.ledger import check_complete, read_ledger
-        monkeypatch.setenv("REPRO_FARM_RAISE", "mcf:RAR")
+        raise_at(monkeypatch, "mcf", "RAR")
         led = os.path.join(str(tmp_path), "led.jsonl")
         r = ExperimentRunner(instructions=800, warmup=300)
         r.run_matrix(["mcf"], BASELINE, ["OOO", "RAR"], ledger=led)
@@ -269,12 +348,8 @@ class TestFaultIsolation:
     def test_completed_groups_flushed_before_later_failure(
             self, tmp_path, monkeypatch):
         """A sweep dying on a later group keeps earlier groups' points
-        on disk (incremental flush), serially and under the farm."""
-        import json
-        import pytest
+        on disk: each is written the moment it lands."""
         # monkeypatched stand-in dies on the second group outright
-        import repro.analysis.experiments as exp
-
         calls = []
         real = exp._iter_group_points
 
@@ -285,12 +360,12 @@ class TestFaultIsolation:
             return real(task)
 
         monkeypatch.setattr(exp, "_iter_group_points", flaky)
-        path = os.path.join(str(tmp_path), "cache.json")
-        r = ExperimentRunner(instructions=800, warmup=300, cache_path=path)
+        cache = os.path.join(str(tmp_path), "cache")
+        r = ExperimentRunner(instructions=800, warmup=300, cache_dir=cache)
         with pytest.raises(KeyboardInterrupt):
             r.run_matrix(["mcf", "x264"], BASELINE, ["OOO"])
-        raw = json.load(open(path))
-        assert len(raw["data"]) == 1  # first group survived the crash
+        (key,) = _entries(cache)  # first group survived the crash
+        assert key.startswith("mcf@")
 
 
 class TestCachedStatsDir:
@@ -330,29 +405,37 @@ class TestCachedStatsDir:
 
 
 class TestIdempotentDiskCache:
-    def test_save_merges_with_concurrent_writers(self, tmp_path):
-        """Two runners sharing one cache file union their points instead
-        of last-writer-wins clobbering (the requeue/retry safety net)."""
-        path = os.path.join(str(tmp_path), "cache.json")
-        a = ExperimentRunner(instructions=800, warmup=300, cache_path=path)
+    def test_save_merges_with_concurrent_writers(self, tmp_path,
+                                                 monkeypatch):
+        """Two runners on one cache directory, both made before either
+        stored a point, keep both points: each writes only its own
+        entries, so neither clobbers the other."""
+        cache = os.path.join(str(tmp_path), "cache")
+        a = ExperimentRunner(instructions=800, warmup=300, cache_dir=cache)
+        b = ExperimentRunner(instructions=800, warmup=300, cache_dir=cache)
         a.run_matrix(["mcf"], BASELINE, ["OOO"])
-        # b loaded (empty) before a's flush ever existed
-        b = ExperimentRunner(instructions=800, warmup=300)
-        b.cache_path = path
         b.run_matrix(["x264"], BASELINE, ["OOO"])
-        import json
-        raw = json.load(open(path))
-        assert len(raw["data"]) == 2  # both runners' points survived
+        assert len(_entries(cache)) == 2  # both runners' points survived
+        calls = _count_measures(monkeypatch)
+        ExperimentRunner(800, 300, cache_dir=cache).run_matrix(
+            ["mcf", "x264"], BASELINE, ["OOO"])
+        assert calls == []
 
     def test_repeated_save_is_idempotent(self, tmp_path):
-        import json
-        path = os.path.join(str(tmp_path), "cache.json")
-        r = ExperimentRunner(instructions=800, warmup=300, cache_path=path)
-        r.run_matrix(["mcf"], BASELINE, ["OOO"])
-        first = json.load(open(path))
-        r._save_disk_cache()
-        r._save_disk_cache()
-        assert json.load(open(path)) == first
+        """Storing one key twice (a re-delivered farm point) leaves one
+        file holding an equal result."""
+        cache = os.path.join(str(tmp_path), "cache")
+        r = ExperimentRunner(instructions=800, warmup=300, cache_dir=cache)
+        result = r.run_matrix(["mcf"], BASELINE, ["OOO"])["OOO"]["mcf"]
+        ((key, path),) = _entries(cache).items()
+        with open(path) as f:
+            first = json.load(f)
+        r._store(key, result)
+        r._store(key, result)
+        assert _entries(cache) == {key: path}
+        with open(path) as f:
+            again = json.load(f)
+        assert again["result"] == first["result"] == result.to_dict()
 
 
 class TestContentKeys:
@@ -433,16 +516,17 @@ class TestContentKeys:
         from repro.sim import simulate
         trace = str(tmp_path / "t.trace.gz")
         name = f"trace:{trace}"
-        cache = str(tmp_path / "cache.json")
+        cache = str(tmp_path / "cache")
         save_trace(get_workload("x264").build_trace(), trace, limit=1500)
-        first = ExperimentRunner(600, 200, cache_path=cache).run_matrix(
+        first = ExperimentRunner(600, 200, cache_dir=cache).run_matrix(
             [name], BASELINE, ["OOO"])["OOO"][name]
         save_trace(get_workload("mcf").build_trace(), trace, limit=1500)
-        second = ExperimentRunner(600, 200, cache_path=cache).run_matrix(
+        second = ExperimentRunner(600, 200, cache_dir=cache).run_matrix(
             [name], BASELINE, ["OOO"])["OOO"][name]
         assert second == simulate(name, BASELINE, "OOO", instructions=600,
                                   warmup=200)
         assert second != first
+        assert len(_entries(cache)) == 2
 
     def test_duplicate_labels_rejected(self):
         mcf, mcf3 = self._mcf_pair()

@@ -1,12 +1,11 @@
 """Crash semantics of the simulation farm scheduler.
 
 The tier-1 tests here inject real SIGKILLs into real worker processes
-(via the ``REPRO_FARM_*`` environment hooks) and assert the scheduler's
+(through :mod:`tests.analysis.point_faults`) and assert the scheduler's
 contract: every surviving point completes and persists, the ledger
 still audits clean, and results are bit-identical to the serial path.
 """
 
-import json
 import os
 
 import pytest
@@ -15,6 +14,7 @@ from repro.analysis.experiments import ExperimentRunner
 from repro.analysis.farm import MAX_RETRIES, FarmScheduler
 from repro.common.params import BASELINE
 from repro.obs.ledger import check_complete, read_ledger, summarize
+from tests.analysis.point_faults import kill_at, kill_once
 
 WLS = ["mcf", "x264"]
 POLS = ["OOO", "RAR"]
@@ -24,8 +24,7 @@ N, W = 800, 300
 def _matrix(tmp_path, *, jobs=2, ledger_name=None, cache=False, **kw):
     runner = ExperimentRunner(
         instructions=N, warmup=W,
-        cache_path=os.path.join(str(tmp_path), "cache.json")
-        if cache else None)
+        cache_dir=os.path.join(str(tmp_path), "cache") if cache else None)
     ledger = (os.path.join(str(tmp_path), ledger_name)
               if ledger_name else None)
     out = runner.run_matrix(WLS, BASELINE, POLS, jobs=jobs,
@@ -39,7 +38,7 @@ class TestCrashRequeue:
         token = os.path.join(str(tmp_path), "crash.token")
         with open(token, "w"):
             pass
-        monkeypatch.setenv("REPRO_FARM_CRASH_TOKEN", token)
+        kill_once(monkeypatch, token)
         _, out, ledger = _matrix(tmp_path, ledger_name="led.jsonl",
                                  cache=True)
         # the injected death cost nothing: every point completed
@@ -52,9 +51,10 @@ class TestCrashRequeue:
         assert st.worker_deaths >= 1
         assert st.requeued >= 1
         assert check_complete(events) == []  # exactly-one-terminal holds
-        # ...and the completed points reached the disk cache
-        raw = json.load(open(os.path.join(str(tmp_path), "cache.json")))
-        assert len(raw["data"]) == len(WLS) * len(POLS)
+        # ...and each completed point reached its own cache entry
+        entries = os.listdir(os.path.join(str(tmp_path), "cache"))
+        assert len([e for e in entries if e.endswith(".json")]) \
+            == len(WLS) * len(POLS)
 
     def test_crashed_points_match_serial_results(self, tmp_path,
                                                  monkeypatch):
@@ -63,7 +63,7 @@ class TestCrashRequeue:
         token = os.path.join(str(tmp_path), "crash.token")
         with open(token, "w"):
             pass
-        monkeypatch.setenv("REPRO_FARM_CRASH_TOKEN", token)
+        kill_once(monkeypatch, token)
         _, b, _ = _matrix(tmp_path)
         for p in POLS:
             for w in WLS:
@@ -73,7 +73,7 @@ class TestCrashRequeue:
 class TestQuarantine:
     def test_poison_point_is_quarantined_not_fatal(self, tmp_path,
                                                    monkeypatch):
-        monkeypatch.setenv("REPRO_FARM_POISON", "x264:RAR")
+        kill_at(monkeypatch, "x264", "RAR")
         _, out, ledger = _matrix(tmp_path, ledger_name="led.jsonl")
         assert len(out.failures) == 1
         f = out.failures[0]
@@ -169,7 +169,8 @@ class TestCommitDigest:
 
 class TestScheduler:
     def test_run_on_empty_task_list(self):
+        delivered = []
         with FarmScheduler(1) as scheduler:
-            report = scheduler.run([])
-        assert report.points == 0
-        assert report.worker_deaths == 0
+            assert scheduler.run([], on_point=delivered.append) is None
+            assert scheduler._workers == []
+        assert delivered == []

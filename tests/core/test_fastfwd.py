@@ -169,11 +169,11 @@ class TestInterchangeability:
         workloads, policies = ["mcf", "x264"], ["OOO", "RAR"]
         serial = ExperimentRunner(
             instructions=N, warmup=W,
-            cache_path=str(tmp_path / "a.json")).run_matrix(
+            cache_dir=str(tmp_path / "a")).run_matrix(
             workloads, BASELINE, policies, warmup_mode="fast")
         parallel = ExperimentRunner(
             instructions=N, warmup=W,
-            cache_path=str(tmp_path / "b.json")).run_matrix(
+            cache_dir=str(tmp_path / "b")).run_matrix(
             workloads, BASELINE, policies, jobs=2, share_warmup=True,
             warmup_mode="fast")
         for p in policies:
@@ -183,7 +183,7 @@ class TestInterchangeability:
     def test_matrix_fast_differs_from_detailed_cache(self, tmp_path):
         """Mode is part of the run key: results never mix."""
         runner = ExperimentRunner(instructions=N, warmup=W,
-                                  cache_path=str(tmp_path / "c.json"))
+                                  cache_dir=str(tmp_path / "c"))
         det = runner.run_matrix(["mcf"], BASELINE, ["RAR"])
         fast = runner.run_matrix(["mcf"], BASELINE, ["RAR"],
                                  warmup_mode="fast")
@@ -231,7 +231,7 @@ class TestWarmupHeldMshrs:
         spec = get_workload(workload)
         spec = dataclasses.replace(spec, seed=spec.seed + offset)
         runner = ExperimentRunner(instructions=10_000, warmup=10_000,
-                                  cache_path=str(tmp_path / "c.json"))
+                                  cache_dir=str(tmp_path / "c"))
         matrix = runner.run_matrix(
             [spec], BASELINE, ["OOO", "RAR"], share_warmup=True,
             warmup_mode="fast", validate=True, oracle=True)

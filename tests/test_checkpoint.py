@@ -37,7 +37,7 @@ class TestBitIdentity:
                 forked[(w, p)] = measure(ck.fork(), N, w)
 
         runner = ExperimentRunner(instructions=N, warmup=W,
-                                  cache_path=str(tmp_path / "cache.json"))
+                                  cache_dir=str(tmp_path / "cache"))
         matrix = runner.run_matrix(workloads, BASELINE, POLICIES, jobs=2)
 
         for w in workloads:

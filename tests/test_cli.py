@@ -1,8 +1,11 @@
 """Command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import MACHINES, build_parser, main
+from tests.analysis.point_faults import raise_at
 
 
 class TestParser:
@@ -336,6 +339,16 @@ class TestGoldenCommand:
         with pytest.raises(SystemExit):  # the table sets the run sizes
             parser.parse_args(["golden", "--regen", "-n", "300"])
 
+    def test_default_dir_is_the_committed_one(self, tmp_path, monkeypatch):
+        """The default ``--dir`` does not depend on the working
+        directory: from anywhere it names the committed golden file."""
+        monkeypatch.chdir(tmp_path)
+        args = build_parser().parse_args(["golden", "--check"])
+        committed = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                 "golden", "golden.json")
+        assert os.path.samefile(os.path.join(args.dir, "golden.json"),
+                                committed)
+
     def test_regen_check_roundtrip(self, tmp_path, capsys, monkeypatch):
         from repro.common.params import BASELINE
         from repro.validate import golden
@@ -433,7 +446,7 @@ class TestLedgerFlag:
 
     def test_sweep_cache_hits_ledgered(self, tmp_path, capsys):
         from repro.obs.ledger import read_ledger
-        cache = str(tmp_path / "cache.json")
+        cache = str(tmp_path / "cache")
         path = str(tmp_path / "second.jsonl")
         args = ["sweep", "x264", "-p", "OOO", "-n", "500", "-w", "200",
                 "--cache", cache]
@@ -506,13 +519,27 @@ class TestLogFlags:
 class TestFarmCommands:
     def test_sweep_exit_code_reports_failures(self, tmp_path, capsys,
                                               monkeypatch):
-        monkeypatch.setenv("REPRO_FARM_RAISE", "mcf:RAR")
+        message = raise_at(monkeypatch, "mcf", "RAR")
         rc = main(["sweep", "mcf", "-p", "OOO", "RAR",
                    "-n", "800", "-w", "300"])
         captured = capsys.readouterr()
         assert rc == 1
         assert "FAILED mcf/baseline/RAR" in captured.out
+        assert message in captured.out
         assert "1 point(s) failed" in captured.err
+
+    def test_sweep_rejects_a_cache_that_is_not_a_directory(self, tmp_path,
+                                                           capsys):
+        path = tmp_path / "cache.json"
+        path.write_text('{"schema": 3, "data": {}}')
+        rc = main(["sweep", "x264", "-p", "OOO", "-n", "500", "-w", "200",
+                   "--cache", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == (f"sweep failed: result cache {path} is not "
+                                f"a directory\n")
+        assert captured.out == ""
+        assert path.read_text() == '{"schema": 3, "data": {}}'
 
 
 class TestWarmupMode:

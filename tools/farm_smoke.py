@@ -5,9 +5,10 @@ with real processes and real SIGKILLs, then asserts the contract —
 stdlib only, exit 0/1:
 
 1. **Chaos sweep** — a small matrix with one worker SIGKILLed mid-run
-   (``REPRO_FARM_CRASH_TOKEN``) and one point forced to raise
-   (``REPRO_FARM_RAISE``): every other point must complete, persist to
-   the disk cache, and the run ledger must audit clean
+   and one point forced to raise, both injected by wrapping
+   ``repro.analysis.experiments.measure`` in this process before the
+   farm forks its workers: every other point must complete, persist to
+   its own cache entry, and the run ledger must audit clean
    (``check_complete``) with the worker death and requeue on record.
 2. **Farm/serial identity** — the chaos sweep's surviving results must
    be bit-identical to a serial ``run_matrix`` of the same grid:
@@ -17,8 +18,8 @@ Usage: ``PYTHONPATH=src python tools/farm_smoke.py [--jobs N]``
 """
 
 import argparse
-import json
 import os
+import signal
 import sys
 import tempfile
 
@@ -38,25 +39,39 @@ def check(cond, label):
 
 
 def chaos_sweep(tmp, jobs):
-    from repro.analysis.experiments import ExperimentRunner
+    from repro.analysis import experiments
     from repro.common.params import BASELINE
     from repro.obs.ledger import check_complete, read_ledger, summarize
 
     token = os.path.join(tmp, "crash.token")
     with open(token, "w"):
         pass
-    os.environ["REPRO_FARM_CRASH_TOKEN"] = token
-    os.environ["REPRO_FARM_RAISE"] = ":".join(RAISE_POINT)
+    parent, real = os.getpid(), experiments.measure
+
+    def chaos_measure(core, instructions, name):
+        # The first worker to measure a point consumes the token and
+        # dies; RAISE_POINT raises inside its point's isolation.
+        if os.getpid() != parent:
+            try:
+                os.unlink(token)
+            except OSError:
+                pass  # already consumed by a sibling worker
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        if (name, core.policy.name) == RAISE_POINT:
+            raise RuntimeError(f"injected failure for {name}")
+        return real(core, instructions, name)
+
     ledger = os.path.join(tmp, "chaos.jsonl")
-    cache = os.path.join(tmp, "chaos-cache.json")
+    cache = os.path.join(tmp, "chaos-cache")
+    experiments.measure = chaos_measure
     try:
-        runner = ExperimentRunner(instructions=N, warmup=W,
-                                  cache_path=cache)
+        runner = experiments.ExperimentRunner(instructions=N, warmup=W,
+                                              cache_dir=cache)
         matrix = runner.run_matrix(WLS, BASELINE, POLS, jobs=jobs,
                                    ledger=ledger)
     finally:
-        os.environ.pop("REPRO_FARM_CRASH_TOKEN", None)
-        os.environ.pop("REPRO_FARM_RAISE", None)
+        experiments.measure = real
 
     print("chaos sweep (1 SIGKILL + 1 forced raise):")
     survivors = [(w, p) for p in POLS for w in WLS
@@ -81,9 +96,9 @@ def chaos_sweep(tmp, jobs):
           "ledger audits clean" if not problems
           else f"ledger audit: {problems}")
 
-    disk = json.load(open(cache))
-    check(len(disk["data"]) == len(survivors),
-          f"{len(disk['data'])}/{len(survivors)} survivors on disk")
+    entries = [e for e in os.listdir(cache) if e.endswith(".json")]
+    check(len(entries) == len(survivors),
+          f"{len(entries)}/{len(survivors)} survivors on disk")
     return matrix
 
 
